@@ -20,6 +20,7 @@
 #include <obs/health.hpp>
 #include <obs/registry.hpp>
 #include <serve/service.hpp>
+#include <threadpool/spin.hpp>
 
 #include <alpaka/core/trace.hpp>
 
@@ -154,8 +155,7 @@ namespace
         ~SingleSlotPool()
         {
             shutdown_.store(true, std::memory_order_seq_cst);
-            generation_.fetch_add(2, std::memory_order_seq_cst);
-            generation_.notify_all();
+            wakeWord_.publish();
         }
 
         void parallelFor(std::size_t count, std::function<void(std::size_t)> const& fn)
@@ -169,10 +169,9 @@ namespace
             remaining_.store(count, std::memory_order_relaxed);
             next_.store(0, std::memory_order_relaxed);
             generation_.fetch_add(1, std::memory_order_seq_cst);
-            // PR 1's notify elision, reproduced for a fair baseline.
-            if(parked_.load(std::memory_order_seq_cst) != 0
-               && parkedSinceNotify_.exchange(false, std::memory_order_seq_cst))
-                generation_.notify_all();
+            // The engine's own park word and notify elision, for a fair
+            // baseline.
+            wakeWord_.publish();
             drain();
             threadpool::detail::awaitZero(remaining_, spinBudget_);
             generation_.fetch_add(1, std::memory_order_seq_cst);
@@ -208,22 +207,16 @@ namespace
                 std::uint64_t gen;
                 for(;;)
                 {
+                    auto const ticket = wakeWord_.snapshot();
                     gen = generation_.load(std::memory_order_seq_cst);
                     if(shutdown_.load(std::memory_order_seq_cst))
                         return;
                     if(gen != seen && (gen & 1u) != 0)
                         break;
                     if(spins-- > 0)
-                    {
                         threadpool::detail::cpuRelax();
-                    }
                     else
-                    {
-                        parked_.fetch_add(1, std::memory_order_seq_cst);
-                        parkedSinceNotify_.store(true, std::memory_order_seq_cst);
-                        generation_.wait(gen, std::memory_order_seq_cst);
-                        parked_.fetch_sub(1, std::memory_order_relaxed);
-                    }
+                        wakeWord_.park(ticket);
                 }
                 active_.fetch_add(1, std::memory_order_seq_cst);
                 if(generation_.load(std::memory_order_seq_cst) != gen)
@@ -247,8 +240,7 @@ namespace
         alignas(64) std::atomic<std::size_t> next_{0};
         alignas(64) std::atomic<std::size_t> remaining_{0};
         alignas(64) std::atomic<std::size_t> active_{0};
-        alignas(64) std::atomic<std::size_t> parked_{0};
-        std::atomic<bool> parkedSinceNotify_{false};
+        threadpool::detail::PublishWord wakeWord_;
         std::atomic<bool> shutdown_{false};
         std::mutex submitMutex_;
         std::vector<std::jthread> workers_;

@@ -34,6 +34,7 @@
 #include "alpaka/core/mpmc_ring.hpp"
 
 #include "gpusim/types.hpp"
+#include "threadpool/spin.hpp"
 
 #include <atomic>
 #include <cstdint>
@@ -63,11 +64,10 @@ namespace alpaka::core
             // Drain first: a stream dies only after its work ran.
             awaitDrained();
             stop_.store(true, std::memory_order_release);
-            // Wake the parked worker without claiming a task: parkSeq_ is
-            // the worker's private futex word, so bumping it perturbs no
-            // drain-protocol state.
-            parkSeq_.fetch_add(1, std::memory_order_seq_cst);
-            parkSeq_.notify_all();
+            // Wake the parked worker without claiming a task: parkWord_
+            // is the worker's private park word, so publishing it perturbs
+            // no drain-protocol state.
+            parkWord_.publish();
             worker_.join();
             // Free the spine (every closure already ran and was moved
             // out, so nodes hold no resources) and the recycle ring.
@@ -118,8 +118,7 @@ namespace alpaka::core
             Node* const prev = head_.exchange(node, std::memory_order_acq_rel);
             prev->next.store(node, std::memory_order_release);
 
-            parkSeq_.fetch_add(1, std::memory_order_seq_cst);
-            parkSeq_.notify_one(); // only the worker parks here
+            parkWord_.publish(); // syscall only when the worker may be asleep
         }
 
         //! Blocks until the queue drained; rethrows the sticky error.
@@ -263,9 +262,9 @@ namespace alpaka::core
             for(;;)
             {
                 // Park ticket BEFORE the emptiness check: an enqueue
-                // bumping parkSeq_ after this snapshot makes the park
+                // publishing parkWord_ after this snapshot makes the park
                 // return immediately (no lost wakeup).
-                auto const ticket = parkSeq_.load(std::memory_order_seq_cst);
+                auto const ticket = parkWord_.snapshot();
                 if(tryPop(fn, always))
                 {
                     runOne(fn, always);
@@ -281,13 +280,13 @@ namespace alpaka::core
                 }
                 if(stop_.load(std::memory_order_acquire))
                     return;
-                parkSeq_.wait(ticket, std::memory_order_seq_cst);
+                parkWord_.park(ticket);
             }
         }
 
         alignas(64) std::atomic<std::uint64_t> state_{0};
         alignas(64) std::atomic<Node*> head_{nullptr}; //!< producers exchange
-        alignas(64) std::atomic<std::uint64_t> parkSeq_{0}; //!< worker park/wake word
+        threadpool::detail::PublishWord parkWord_; //!< worker park/wake word
         Node* tail_ = nullptr; //!< worker-only
         Node stub_;
         MpmcRing<Node*> nodeCache_{256};

@@ -176,9 +176,9 @@ namespace alpaka::graph
             auto const pos = scratch.pushCursor.fetch_add(1, std::memory_order_relaxed);
             scratch.ring[pos].store(first + k + 1, std::memory_order_release);
         }
-        // Advertise once per node — the shared Dekker-paired,
-        // notify-eliding protocol (threadpool::detail::PublishWord) covers
-        // the release-stores above.
+        // Advertise once per node — the shared notify-eliding protocol
+        // (threadpool::detail::PublishWord) covers the release-stores
+        // above.
         scratch.readyWord.publish();
     }
 

@@ -128,7 +128,7 @@ namespace alpaka::serve
             std::scoped_lock lock(mutex_);
             stop_.store(true, std::memory_order_seq_cst);
         }
-        workWord_.publishAlways();
+        workWord_.publish();
         spaceCv_.notify_all();
         superviseCv_.notify_all();
         // Admission quiescence (litmus: serve/*_admit_stop_gate): any
@@ -1013,7 +1013,7 @@ namespace alpaka::serve
             }
             if(idle)
                 idleCv_.notify_all();
-            workWord_.publishAlways();
+            workWord_.publish();
         }
     }
 

@@ -1,10 +1,11 @@
 /// \file Spin-then-park primitives shared by the threadpool substrates.
 ///
 /// ThreadPool (chunk scheduling) and TeamPool (barrier-coupled teams) use
-/// the same waiting discipline: spin briefly on an atomic word, then park
-/// in a C++20 atomic (futex) wait. In-flight work units are typically
-/// sub-microsecond, so the spin phase usually wins and the syscall is
-/// skipped. The helpers live here so both pools share one tested copy.
+/// the same waiting discipline: spin briefly on their own state, then park
+/// on a PublishWord in a C++20 atomic (futex) wait. In-flight work units
+/// are typically sub-microsecond, so the spin phase usually wins and the
+/// syscall is skipped. The helpers live here so both pools — and every
+/// other parking waiter in the tree — share one tested copy.
 #pragma once
 
 #include <atomic>
@@ -60,60 +61,63 @@ namespace threadpool::detail
         }
     }
 
-    //! Publish word with syscall-elided wakeups, the waiting discipline
-    //! shared by ThreadPool's job-ring publication and the graph replay
-    //! engine's ready ring (DESIGN.md §3.1/§4.3).
+    //! Park/wake word with syscall-elided wakeups — the one waiting
+    //! discipline behind ThreadPool's job publication, TeamPool's runs,
+    //! the graph replay engine's ready ring, serve::Service's shard
+    //! workers and core::TaskQueue (DESIGN.md §3.1, §8.2).
     //!
-    //! Protocol: a waiter snapshots the word, re-checks its own readiness
-    //! predicate, spins, and eventually parks via park(snapshot); a
-    //! publisher makes its state visible (release/seq_cst stores), then
-    //! calls publish(). The seq_cst bump forms a Dekker pair with the
-    //! waiter's parked-counter increment — either the waiter's re-check or
-    //! its futex value check sees the publish, or the publisher sees it
-    //! parked and pays the notify. The notify itself is elided while every
-    //! currently parked waiter was already covered by an earlier notify
-    //! (woken but not yet scheduled still counts as parked); a waiter
-    //! parking after the last notify re-arms the flag, so nobody sleeps
-    //! through a publish.
+    //! One 32-bit futex word: bit 0 means "a waiter may be asleep", the
+    //! bits above it are the publish epoch. A waiter snapshots the word,
+    //! re-checks its own readiness predicate, spins, and eventually parks
+    //! via park(snapshot), which sets bit 0 with a CAS on the unchanged
+    //! epoch and sleeps on that exact value. A publisher makes its state
+    //! visible (release/seq_cst stores), then calls publish(), which bumps
+    //! the epoch and pays the notify only if the old word had bit 0 set.
+    //! Both RMWs hit the same word, so coherence alone orders them: either
+    //! the waiter's CAS lands first and the bump reads the bit, or the
+    //! bump lands first and the CAS (or the futex value check) fails —
+    //! nobody sleeps through a publish (litmus: threadpool/*_park_word).
+    //! The epoch wraps after 2^31 publishes; a waiter would have to stall
+    //! between snapshot and CAS for a whole multiple of that many to be
+    //! fooled.
     class PublishWord
     {
     public:
         //! Word value to pass to park(); always re-check the readiness
         //! predicate *after* taking the snapshot.
-        [[nodiscard]] auto snapshot() const noexcept -> std::uint64_t
+        [[nodiscard]] auto snapshot() const noexcept -> std::uint32_t
         {
-            return seq_.load(std::memory_order_seq_cst);
+            return word_.load(std::memory_order_seq_cst) & ~waiterBit;
         }
 
-        //! Advertises newly published state and wakes parked waiters
-        //! (elided when all were covered by an earlier notify).
+        //! Advertises newly published state; wakes the waiters only when
+        //! one may be asleep.
         void publish() noexcept
         {
-            seq_.fetch_add(1, std::memory_order_seq_cst);
-            if(parked_.load(std::memory_order_seq_cst) != 0
-               && parkedSinceNotify_.exchange(false, std::memory_order_seq_cst))
-                seq_.notify_all();
-        }
-
-        //! Unconditional advertise + wake (shutdown paths).
-        void publishAlways() noexcept
-        {
-            seq_.fetch_add(1, std::memory_order_seq_cst);
-            seq_.notify_all();
+            if((word_.fetch_add(epochOne, std::memory_order_seq_cst) & waiterBit) == 0)
+                return;
+            // Clearing the bit changes the value every sleeper waits on,
+            // so a waiter between its CAS and its futex entry cannot miss
+            // this wake either; a waiter that re-parks after the clear
+            // sets the bit again for the next publish.
+            word_.fetch_and(~waiterBit, std::memory_order_seq_cst);
+            word_.notify_all();
         }
 
         //! Blocks until the word moved past \p seen (or a spurious wake).
-        void park(std::uint64_t seen) noexcept
+        void park(std::uint32_t seen) noexcept
         {
-            parked_.fetch_add(1, std::memory_order_seq_cst);
-            parkedSinceNotify_.store(true, std::memory_order_seq_cst);
-            seq_.wait(seen, std::memory_order_seq_cst);
-            parked_.fetch_sub(1, std::memory_order_relaxed);
+            auto expected = seen;
+            if(!word_.compare_exchange_strong(expected, seen | waiterBit, std::memory_order_seq_cst)
+               && expected != (seen | waiterBit))
+                return; // already published past the snapshot
+            word_.wait(seen | waiterBit, std::memory_order_seq_cst);
         }
 
     private:
-        alignas(64) std::atomic<std::uint64_t> seq_{0};
-        alignas(64) std::atomic<std::size_t> parked_{0};
-        std::atomic<bool> parkedSinceNotify_{false};
+        static constexpr std::uint32_t waiterBit = 1;
+        static constexpr std::uint32_t epochOne = 2;
+
+        alignas(64) std::atomic<std::uint32_t> word_{0};
     };
 } // namespace threadpool::detail

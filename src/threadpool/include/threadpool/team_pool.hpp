@@ -12,12 +12,12 @@
 ///
 /// Publication uses the same generation-parity spin-then-park protocol as
 /// ThreadPool's job slots (see spin.hpp and DESIGN.md §3.5): members spin
-/// briefly on the generation word before parking in an atomic futex wait,
-/// and the submitter elides the wake syscall while every parked member was
-/// already covered by an earlier notify. Back-to-back AccCpuThreads
-/// launches therefore stop futex-round-tripping per launch on multi-core
-/// machines. Member selection is an atomic ticket: the first teamSize
-/// registrants of a generation run the body, later ones back out.
+/// briefly on the generation word before parking on the pool's
+/// detail::PublishWord, and the submitter pays the wake syscall only when
+/// a member may be asleep. Back-to-back AccCpuThreads launches therefore
+/// stop futex-round-tripping per launch on multi-core machines. Member
+/// selection is an atomic ticket: the first teamSize registrants of a
+/// generation run the body, later ones back out.
 ///
 /// Retention policy: the pool keeps at most retainCount() threads between
 /// runs (oversized teams get their surplus spawned per run and trimmed
@@ -25,6 +25,8 @@
 /// hundreds of OS threads for the process lifetime, and the bounded size
 /// also bounds the notify_all wakeup fan-out per launch.
 #pragma once
+
+#include "threadpool/spin.hpp"
 
 #include <atomic>
 #include <cstddef>
@@ -69,10 +71,6 @@ namespace threadpool
 
     private:
         void memberLoop(std::size_t memberIndex);
-        //! Wakes every member (trim and shutdown): bumps the generation by
-        //! 2 — the parity stays "closed", so no tickets can be claimed —
-        //! and pays an unconditional notify.
-        void wakeAllMembers();
 
         std::mutex submitMutex_; //!< serializes whole runTeam calls
         mutable std::mutex threadsMutex_; //!< protects threads_ only
@@ -93,8 +91,9 @@ namespace threadpool
         alignas(64) std::atomic<std::size_t> running_{0};
         //! Members registered between generation validation and back-out.
         alignas(64) std::atomic<std::size_t> active_{0};
-        alignas(64) std::atomic<std::size_t> parked_{0};
-        std::atomic<bool> parkedSinceNotify_{false};
+        //! Members park here; published after every run opening and after
+        //! every exit-flag store (trim, shutdown).
+        detail::PublishWord wakeWord_;
         //! Members with index >= keep_ exit their loop (trim protocol).
         std::atomic<std::size_t> keep_{static_cast<std::size_t>(-1)};
         std::atomic<bool> shutdown_{false};

@@ -22,7 +22,7 @@ namespace threadpool
     TeamPool::~TeamPool()
     {
         shutdown_.store(true, std::memory_order_seq_cst);
-        wakeAllMembers();
+        wakeWord_.publish();
     }
 
     auto TeamPool::global() -> TeamPool&
@@ -41,14 +41,6 @@ namespace threadpool
     {
         std::scoped_lock lock(threadsMutex_);
         return threads_.size();
-    }
-
-    void TeamPool::wakeAllMembers()
-    {
-        // Parity-preserving bump: the generation stays "closed", so woken
-        // members re-check shutdown_/keep_ but can never claim a ticket.
-        generation_.fetch_add(2, std::memory_order_seq_cst);
-        generation_.notify_all();
     }
 
     void TeamPool::runTeam(std::size_t teamSize, std::function<void(std::size_t)> const& body)
@@ -75,12 +67,10 @@ namespace threadpool
         teamSize_ = teamSize;
         nextTicket_.store(0, std::memory_order_relaxed);
         running_.store(teamSize, std::memory_order_relaxed);
-        // Open the run (even -> odd); same Dekker pair with parked_ and the
+        // Open the run (even -> odd), then wake the parked members — the
         // same notify elision as the ThreadPool publish path.
         generation_.fetch_add(1, std::memory_order_seq_cst);
-        if(parked_.load(std::memory_order_seq_cst) != 0
-           && parkedSinceNotify_.exchange(false, std::memory_order_seq_cst))
-            generation_.notify_all();
+        wakeWord_.publish();
 
         // All bodies done...
         detail::awaitZero(running_, spinBudget_);
@@ -109,7 +99,7 @@ namespace threadpool
         }
         if(!surplus.empty())
         {
-            wakeAllMembers();
+            wakeWord_.publish();
             surplus.clear(); // joins the exiting members
             keep_.store(static_cast<std::size_t>(-1), std::memory_order_seq_cst);
         }
@@ -125,33 +115,26 @@ namespace threadpool
             std::uint64_t gen;
             for(;;)
             {
+                auto const ticket = wakeWord_.snapshot();
                 gen = generation_.load(std::memory_order_seq_cst);
-                // Acquire is provably enough for both exit flags (litmus
-                // sweep, DESIGN.md §8): they are read AFTER the
-                // generation load, and the waking side stores its flag
-                // BEFORE bumping generation (a seq_cst RMW). A member
-                // that read the bumped generation therefore synchronizes
-                // with the bump and must see the flag; a member that read
-                // the old generation parks on it and the bump's futex
-                // value check/notify supplies the wake. (This is the
-                // ordering ThreadPool::workerLoop got wrong — see the
-                // pre-park re-check there.)
+                // Acquire is provably enough for both exit flags (litmus:
+                // threadpool/*_park_publish, DESIGN.md §8.3-§8.4): they are
+                // read AFTER the word snapshot, and the waking side stores
+                // its flag BEFORE publishing the word (a seq_cst RMW). A
+                // member whose snapshot read the publish therefore
+                // synchronizes with it and must see the flag; a member
+                // that read the old word parks on it and park()'s CAS,
+                // futex value check or the publish's notify supplies the
+                // wake.
                 if(shutdown_.load(std::memory_order_acquire)
                    || memberIndex >= keep_.load(std::memory_order_acquire))
                     return;
                 if(detail::isOpen(gen) && gen != seen)
                     break;
                 if(spins-- > 0)
-                {
                     detail::cpuRelax();
-                }
                 else
-                {
-                    parked_.fetch_add(1, std::memory_order_seq_cst);
-                    parkedSinceNotify_.store(true, std::memory_order_seq_cst);
-                    generation_.wait(gen, std::memory_order_seq_cst);
-                    parked_.fetch_sub(1, std::memory_order_relaxed);
-                }
+                    wakeWord_.park(ticket);
             }
             // Register, then re-validate: the descriptor (body_, teamSize_)
             // and the ticket counter may only be touched while the observed

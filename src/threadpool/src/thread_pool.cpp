@@ -53,7 +53,7 @@ namespace threadpool
     ThreadPool::~ThreadPool()
     {
         shutdown_.store(true, std::memory_order_seq_cst);
-        publishWord_.publishAlways();
+        publishWord_.publish();
     }
 
     auto ThreadPool::currentWorkerIndex() noexcept -> std::size_t
@@ -140,8 +140,8 @@ namespace threadpool
         slot.remaining.store(count, std::memory_order_relaxed);
         slot.next.store(0, std::memory_order_relaxed);
         // Open the slot (even -> odd), then advertise the publish on the
-        // global park word — the shared Dekker-paired, notify-eliding
-        // protocol (detail::PublishWord).
+        // global park word — the shared notify-eliding protocol
+        // (detail::PublishWord).
         slot.generation.fetch_add(1, std::memory_order_seq_cst);
         publishWord_.publish();
         jobs_.fetch_add(1, std::memory_order_relaxed);
@@ -347,10 +347,10 @@ namespace threadpool
             // can land between it and the snapshot, leaving seq already
             // bumped — the worker would park on the post-shutdown value
             // with no notify ever coming. Reading the bumped seq
-            // synchronizes with publishAlways() (seq_cst RMW), so this
-            // load is guaranteed to see the store and exit; a pre-bump
-            // seq instead makes park()'s futex value check or the notify
-            // catch the wake.
+            // synchronizes with the destructor's publish() (seq_cst
+            // RMW), so this load is guaranteed to see the store and exit;
+            // a pre-bump seq instead makes park()'s CAS, its futex value
+            // check or the notify catch the wake.
             if(shutdown_.load(std::memory_order_acquire))
                 return;
             // Fault site (delay rules): widens the snapshot→park window; a

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
+#include <thread>
 
 // ---------------------------------------------------------------------
 // Global allocation counter: counts every operator new in this binary.
@@ -85,6 +87,31 @@ namespace
             stream::enqueue(stream, exec);
         return g_allocCount.load() - before;
     }
+
+    //! Has every global-pool thread (workers and the helping caller) take
+    //! its arena for \p TAcc. A warm-up launch of cheap blocks can finish
+    //! on the caller before a parked worker wakes; that worker's first
+    //! block would then allocate inside the measured window. Each index
+    //! holds its thread until all have arrived, so every thread runs one.
+    template<typename TAcc>
+    void warmEveryPoolThreadArena()
+    {
+        auto const capacity = acc::getAccDevProps<TAcc>(dev::DevMan<TAcc>::getDevByIdx(0)).sharedMemSizeBytes;
+        auto& pool = threadpool::ThreadPool::global();
+        auto const threads = pool.workerCount() + 1;
+        auto const deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        std::atomic<std::size_t> arrived{0};
+        pool.parallelFor(
+            threads,
+            [&](std::size_t)
+            {
+                (void) acc::SharedArenaCache::get(capacity);
+                arrived.fetch_add(1);
+                while(arrived.load() < threads && std::chrono::steady_clock::now() < deadline)
+                    std::this_thread::yield();
+            });
+        ASSERT_EQ(arrived.load(), threads);
+    }
 } // namespace
 
 TEST(ArenaCache, ReusesArenaAcrossCallsAndGrowsMonotonically)
@@ -108,6 +135,7 @@ TEST(ArenaCache, SteadyStateSerialLaunchesAllocateNothing)
 
 TEST(ArenaCache, SteadyStateTaskBlocksLaunchesAllocateNothing)
 {
+    warmEveryPoolThreadArena<acc::AccCpuTaskBlocks<Dim1, Size>>();
     EXPECT_EQ((allocationsPerSteadyStateLaunch<acc::AccCpuTaskBlocks<Dim1, Size>>(100)), 0u);
 }
 

@@ -1,11 +1,18 @@
 /// \file Unit tests of the persistent worker pool substrate.
+#include <threadpool/spin.hpp>
 #include <threadpool/thread_pool.hpp>
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <barrier>
+#include <chrono>
+#include <memory>
 #include <numeric>
+#include <random>
 #include <set>
+#include <thread>
 #include <vector>
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce)
@@ -138,4 +145,97 @@ TEST(ThreadPool, LargeDynamicLoadIsBalancedToCompletion)
     for(std::size_t i = 0; i < 500; ++i)
         expected += i * (i - 1) / 2 + 1;
     EXPECT_EQ(total.load(), expected);
+}
+
+TEST(PublishWord, ParkingConsumerNeverSleepsThroughRacingPublishers)
+{
+    // Lost-wake regression: one consumer that parks as soon as it finds
+    // nothing, two publishers racing one item each per round. A publisher
+    // stalled between its epoch bump and its wake decision must not be
+    // able to eat the wake a later publisher owes the re-parked consumer.
+    using Clock = std::chrono::steady_clock;
+    constexpr int maxRounds = 100000;
+    constexpr auto budget = std::chrono::seconds(3);
+    constexpr auto consumeTimeout = std::chrono::seconds(1);
+
+    // Shared with the consumer by ownership: on a lost wake it may never
+    // return, so it is detached instead of joined.
+    struct Shared
+    {
+        threadpool::detail::PublishWord word;
+        std::array<std::atomic<bool>, 2> pending{};
+        std::atomic<bool> stop{false};
+    };
+    auto const shared = std::make_shared<Shared>();
+    std::thread consumer(
+        [shared]
+        {
+            for(;;)
+            {
+                auto const seen = shared->word.snapshot();
+                bool took = false;
+                for(auto& item : shared->pending)
+                    took = item.exchange(false, std::memory_order_acq_rel) || took;
+                if(took)
+                    continue;
+                if(shared->stop.load(std::memory_order_acquire))
+                    return;
+                shared->word.park(seen);
+            }
+        });
+
+    auto const start = Clock::now();
+    int rounds = 0;
+    bool done = false;
+    std::atomic<int> lostRound{-1};
+    std::atomic<int> lostPublisher{-1};
+    std::barrier sync(
+        2,
+        [&]() noexcept
+        {
+            done = rounds == maxRounds || Clock::now() - start > budget || lostRound.load() >= 0;
+            if(!done)
+                ++rounds;
+        });
+    auto publisher = [&](int index)
+    {
+        std::mt19937 rng(0x5eed + index);
+        std::uniform_int_distribution<int> jitter(0, 2047);
+        for(;;)
+        {
+            sync.arrive_and_wait();
+            if(done)
+                return;
+            for(int spin = jitter(rng); spin > 0; --spin)
+                threadpool::detail::cpuRelax();
+            auto& item = shared->pending[index];
+            item.store(true, std::memory_order_release);
+            shared->word.publish();
+            auto const deadline = Clock::now() + consumeTimeout;
+            while(item.load(std::memory_order_acquire))
+            {
+                if(Clock::now() > deadline)
+                {
+                    lostRound.store(rounds);
+                    lostPublisher.store(index);
+                    break;
+                }
+                std::this_thread::yield();
+            }
+        }
+    };
+    std::thread first(publisher, 0);
+    std::thread second(publisher, 1);
+    first.join();
+    second.join();
+
+    EXPECT_EQ(lostRound.load(), -1) << "publisher " << lostPublisher.load() << "'s item of round "
+                                    << lostRound.load() << " was not consumed within 1 s (lost wake)";
+    EXPECT_GT(rounds, 0);
+    shared->stop.store(true, std::memory_order_release);
+    shared->word.publish();
+    if(lostRound.load() < 0)
+        consumer.join();
+    else
+        consumer.detach();
 }
