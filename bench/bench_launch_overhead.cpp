@@ -34,6 +34,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -323,6 +324,56 @@ namespace
             a = std::make_unique_for_overwrite<std::byte[]>(acc::detail::cpuSharedMemBytes);
         return arenas;
     }
+
+    //! The acceptance gates of this bench, each with a name: every check
+    //! prints "gate <name>: <value> <op> <threshold> PASS|FAIL", and the
+    //! final verdict names the gates that failed.
+    class Gates
+    {
+    public:
+        template<typename T>
+        void atLeast(std::string const& name, T value, T threshold)
+        {
+            record(name, value, ">=", threshold, value >= threshold);
+        }
+        template<typename T>
+        void atMost(std::string const& name, T value, T threshold)
+        {
+            record(name, value, "<=", threshold, value <= threshold);
+        }
+        template<typename T>
+        void equal(std::string const& name, T value, T expected)
+        {
+            record(name, value, "==", expected, value == expected);
+        }
+
+        [[nodiscard]] auto ok() const -> bool
+        {
+            return failed_.empty();
+        }
+        //! Comma-separated names of the failed gates.
+        [[nodiscard]] auto failedNames() const -> std::string
+        {
+            std::string names;
+            for(auto const& name : failed_)
+                names += (names.empty() ? "" : ", ") + name;
+            return names;
+        }
+
+    private:
+        template<typename T>
+        void record(std::string const& name, T value, char const* op, T threshold, bool pass)
+        {
+            std::ostringstream line;
+            line << std::boolalpha << "gate " << name << ": " << value << ' ' << op << ' ' << threshold
+                 << (pass ? " PASS" : " FAIL") << '\n';
+            std::cout << line.str();
+            if(!pass)
+                failed_.push_back(name);
+        }
+
+        std::vector<std::string> failed_;
+    };
 } // namespace
 
 auto main() -> int
@@ -337,7 +388,7 @@ auto main() -> int
 
     bench::JsonReport report("launch_overhead");
     bench::Table table({"grid blocks", "engine", "ns/launch", "speedup vs seed"});
-    bool ok = true;
+    Gates gates;
 
     for(Size const blocks : {Size{1}, Size{8}, Size{64}, Size{512}})
     {
@@ -378,7 +429,7 @@ auto main() -> int
         report.num("speedup", speedup);
         // The acceptance gate targets the small-grid cheap-kernel case.
         if(blocks <= 64)
-            ok = ok && speedup >= 3.0;
+            gates.atLeast("launch_taskblocks_grid" + std::to_string(blocks), speedup, 3.0);
     }
 
     // Secondary series: raw pool loop (no alpaka wrapping) to separate the
@@ -486,10 +537,11 @@ auto main() -> int
             // of engine. Demand the 2x overlap only with >= 4 hardware
             // threads (4 submitters can then genuinely run concurrently);
             // below that the ring must merely not regress.
+            auto const submitGate = "concurrent_submitters_grid" + std::to_string(blocks);
             if(std::thread::hardware_concurrency() >= 4)
-                ok = ok && speedup >= 2.0;
+                gates.atLeast(submitGate, speedup, 2.0);
             else
-                ok = ok && speedup >= 0.8;
+                gates.atLeast(submitGate, speedup, 0.8);
         }
 
         // The gate scenario: stall-bound blocks. Streams exist to overlap
@@ -552,7 +604,7 @@ auto main() -> int
             report.num("ns_per_launch_single_slot_engine", tSingle * 1e9);
             report.num("ns_per_launch_job_ring", tRing * 1e9);
             report.num("speedup", speedup);
-            ok = ok && speedup >= 2.0;
+            gates.atLeast("concurrent_submitters_stall", speedup, 2.0);
         }
         trace::setEnabled(true);
     }
@@ -643,10 +695,8 @@ auto main() -> int
                           })
                       / static_cast<double>(iterations);
             if(out != directResult)
-            {
                 std::cerr << "error: graph replay result diverged from resubmission\n";
-                ok = false;
-            }
+            gates.equal("graph_replay_matches_resubmission", out == directResult, true);
         }
 
         auto const speedup = tDirect / tReplay;
@@ -664,7 +714,7 @@ auto main() -> int
         report.num("speedup", speedup);
         // ISSUE 3 acceptance gate: replay >= 2x resubmission on the
         // submission-bound shape.
-        ok = ok && speedup >= 2.0;
+        gates.atLeast("graph_replay", speedup, 2.0);
     }
 
     // Alloc-churn scenario (DESIGN.md §5): per-iteration scratch buffers,
@@ -780,7 +830,7 @@ auto main() -> int
         // the per-call allocate/launch/sync/free pattern. Gated on the
         // best interleaved pair (the reported median straddled 2.0 run
         // to run on box noise alone).
-        ok = ok && bestRatio >= 2.0;
+        gates.atLeast("alloc_churn_best_pair", bestRatio, 2.0);
     }
 
     // Kernel-service scenario (DESIGN.md §6): N client threads submit M
@@ -1166,18 +1216,18 @@ auto main() -> int
         report.num("speedup", speedup);
         // ISSUE 5 acceptance gate: batching service >= 2x naive
         // one-stream-per-request dispatch.
-        ok = ok && speedup >= 2.0;
+        gates.atLeast("serve_throughput", speedup, 2.0);
         // ISSUE 6 acceptance gate: the armed resilience layer costs the
         // serving hot path <= 2%.
-        ok = ok && overheadRatio <= 1.02;
+        gates.atMost("serve_resilience_overhead", overheadRatio, 1.02);
         // ISSUE 9 acceptance gate: always-on tracing prices the serving
         // hot path <= 2% over runtime-disabled recording (min pairwise
         // ratio, same one-sidedness argument as the resilience gate).
-        ok = ok && traceOverheadRatio <= 1.02;
+        gates.atMost("serve_trace_overhead", traceOverheadRatio, 1.02);
         // ISSUE 10 acceptance gate: a hot ops scraper (registry snapshot
         // + exposition + health tick every ~500us) costs the serving hot
         // path <= 2% (min pairwise ratio, one-sided as above).
-        ok = ok && adminOverheadRatio <= 1.02;
+        gates.atMost("serve_admin_overhead", adminOverheadRatio, 1.02);
 
         // The unified registry's view of the traffic just priced rides
         // along in the report (DESIGN.md §10.4): the queue-wait
@@ -1378,7 +1428,7 @@ auto main() -> int
         report.num("front_door_overhead_pct", overheadPct);
         report.num("front_door_frames_in", static_cast<std::size_t>(doorStats.framesIn));
         report.num("front_door_rx_stalls", static_cast<std::size_t>(doorStats.rxStalls));
-        ok = ok && wireBad == 0;
+        gates.equal("net_roundtrip_bad_responses", wireBad, std::size_t{0});
     }
 
     // router_sharding scenario (ISSUE 8 acceptance): >= 1M requests
@@ -1480,7 +1530,9 @@ auto main() -> int
         report.num("latency_max_us", routed.latency.maxUs);
         // ISSUE 8 acceptance gate: >= 1M requests, >= 2 shards actually
         // serving, every payload verified.
-        ok = ok && routed.completed >= totalRequests && shardsServing >= 2 && mismatches == 0;
+        gates.atLeast("router_completed", routed.completed, std::uint64_t{totalRequests});
+        gates.atLeast("router_shards_serving", shardsServing, std::size_t{2});
+        gates.equal("router_mismatches", mismatches, std::size_t{0});
     }
 
     table.print(std::cout);
@@ -1497,11 +1549,12 @@ auto main() -> int
         std::cerr << "error: " << e.what() << '\n';
         return 1;
     }
-    std::cout
-        << (ok ? "launch-overhead gate: PASS (>= 3x vs seed on small grids, >= 2x concurrent submitters, "
-                 ">= 2x graph replay vs resubmission, >= 2x pooled alloc churn, >= 2x serve throughput,\n"
-                 "                             <= 2% resilience-layer overhead on the serve hot path, "
-                 "<= 2% admin-plane scrape overhead, 1M routed requests across >= 2 shards verified)\n"
-               : "launch-overhead gate: FAIL\n");
-    return ok ? 0 : 1;
+    if(gates.ok())
+        std::cout << "launch-overhead gate: PASS (>= 3x vs seed on small grids, >= 2x concurrent submitters, "
+                     ">= 2x graph replay vs resubmission, >= 2x pooled alloc churn, >= 2x serve throughput,\n"
+                     "                             <= 2% resilience-layer overhead on the serve hot path, "
+                     "<= 2% admin-plane scrape overhead, 1M routed requests across >= 2 shards verified)\n";
+    else
+        std::cout << "launch-overhead gate: FAIL (" << gates.failedNames() << ")\n";
+    return gates.ok() ? 0 : 1;
 }

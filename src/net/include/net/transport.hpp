@@ -55,7 +55,10 @@ namespace alpaka::net
         //! slot. The producer owns tail_, the consumer owns head_, each
         //! publishes with release and reads the other with acquire —
         //! the classic two-counter SPSC proof obligation, same shape as
-        //! the litmus-checked rings below (DESIGN.md §8.2).
+        //! the litmus-checked rings below (DESIGN.md §8.2). Bytes move
+        //! as at most two memcpy runs, split where the ring wraps, so
+        //! the capacity may be any size; a zero-byte move returns
+        //! before touching the buffer or the index.
         class ByteRing
         {
         public:
@@ -71,8 +74,13 @@ namespace alpaka::net
                 auto const head = head_.load(std::memory_order_acquire);
                 auto const space = buf_.size() - static_cast<std::size_t>(tail - head);
                 auto const n = len < space ? len : space;
-                for(std::size_t i = 0; i < n; ++i)
-                    buf_[static_cast<std::size_t>(tail + i) % buf_.size()] = data[i];
+                if(n == 0)
+                    return 0;
+                auto const at = static_cast<std::size_t>(tail % buf_.size());
+                auto const first = n < buf_.size() - at ? n : buf_.size() - at;
+                std::memcpy(buf_.data() + at, data, first);
+                if(first != n)
+                    std::memcpy(buf_.data(), data + first, n - first);
                 tail_.store(tail + n, std::memory_order_release);
                 return n;
             }
@@ -85,8 +93,13 @@ namespace alpaka::net
                 auto const tail = tail_.load(std::memory_order_acquire);
                 auto const avail = static_cast<std::size_t>(tail - head);
                 auto const n = len < avail ? len : avail;
-                for(std::size_t i = 0; i < n; ++i)
-                    data[i] = buf_[static_cast<std::size_t>(head + i) % buf_.size()];
+                if(n == 0)
+                    return 0;
+                auto const at = static_cast<std::size_t>(head % buf_.size());
+                auto const first = n < buf_.size() - at ? n : buf_.size() - at;
+                std::memcpy(data, buf_.data() + at, first);
+                if(first != n)
+                    std::memcpy(data + first, buf_.data(), n - first);
                 head_.store(head + n, std::memory_order_release);
                 return n;
             }

@@ -230,30 +230,6 @@ namespace alpaka::net
 
     namespace detail
     {
-        //! Reflected CRC32 table (polynomial 0xEDB88320), built at
-        //! compile time so the codec has no runtime init order to get
-        //! wrong.
-        inline constexpr auto crcTable = []
-        {
-            std::array<std::uint32_t, 256> table{};
-            for(std::uint32_t i = 0; i < 256; ++i)
-            {
-                std::uint32_t c = i;
-                for(int k = 0; k < 8; ++k)
-                    c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1U) : c >> 1U;
-                table[i] = c;
-            }
-            return table;
-        }();
-
-        [[nodiscard]] constexpr auto crc32Update(std::uint32_t crc, std::byte const* data, std::size_t len) noexcept
-            -> std::uint32_t
-        {
-            for(std::size_t i = 0; i < len; ++i)
-                crc = crcTable[(crc ^ static_cast<std::uint32_t>(data[i])) & 0xFFU] ^ (crc >> 8U);
-            return crc;
-        }
-
         //! \name little-endian field stores/loads (the wire byte order,
         //! independent of host endianness)
         //! @{
@@ -292,6 +268,56 @@ namespace alpaka::net
             return v;
         }
         //! @}
+
+        //! Reflected CRC32 table (polynomial 0xEDB88320), built at
+        //! compile time so the codec has no runtime init order to get
+        //! wrong.
+        inline constexpr auto crcTable = []
+        {
+            std::array<std::uint32_t, 256> table{};
+            for(std::uint32_t i = 0; i < 256; ++i)
+            {
+                std::uint32_t c = i;
+                for(int k = 0; k < 8; ++k)
+                    c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1U) : c >> 1U;
+                table[i] = c;
+            }
+            return table;
+        }();
+
+        //! Slicing-by-8 tables (Kounavis & Berry, ISCC 2005), derived
+        //! from crcTable: crcTables[k][b] is the CRC state contributed
+        //! by byte b followed by k zero bytes. Eight input bytes then
+        //! fold in with eight independent lookups instead of a chain of
+        //! eight dependent ones; the result is the same CRC32.
+        inline constexpr auto crcTables = []
+        {
+            std::array<std::array<std::uint32_t, 256>, 8> tables{};
+            tables[0] = crcTable;
+            for(std::size_t k = 1; k < tables.size(); ++k)
+                for(std::size_t i = 0; i < 256; ++i)
+                    tables[k][i] = (tables[k - 1][i] >> 8U) ^ crcTable[tables[k - 1][i] & 0xFFU];
+            return tables;
+        }();
+
+        //! Advances the (pre-inverted) CRC32 state \p crc over \p len
+        //! bytes: eight bytes per step, then a bytewise tail.
+        [[nodiscard]] constexpr auto crc32Update(std::uint32_t crc, std::byte const* data, std::size_t len) noexcept
+            -> std::uint32_t
+        {
+            auto const& t = crcTables;
+            std::size_t i = 0;
+            for(; len - i >= 8; i += 8)
+            {
+                auto const lo = crc ^ load32(data + i);
+                auto const hi = load32(data + i + 4);
+                crc = t[7][lo & 0xFFU] ^ t[6][(lo >> 8U) & 0xFFU] ^ t[5][(lo >> 16U) & 0xFFU] ^ t[4][lo >> 24U]
+                      ^ t[3][hi & 0xFFU] ^ t[2][(hi >> 8U) & 0xFFU] ^ t[1][(hi >> 16U) & 0xFFU] ^ t[0][hi >> 24U];
+            }
+            for(; i < len; ++i)
+                crc = crcTable[(crc ^ static_cast<std::uint32_t>(data[i])) & 0xFFU] ^ (crc >> 8U);
+            return crc;
+        }
     } // namespace detail
 
     //! CRC32 of one frame: the 32 encoded header bytes with the crc

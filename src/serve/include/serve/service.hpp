@@ -189,7 +189,10 @@ namespace alpaka::serve
         auto shutdown(std::chrono::nanoseconds timeout = std::chrono::seconds(5)) -> ShutdownReport;
 
         //! Coherent introspection snapshot (per-device pool stats come
-        //! from mempool::Pool::stats(), the single-lock variant).
+        //! from mempool::Pool::stats(), the single-lock variant). Stats
+        //! settle before a future resolves: once a caller's future has
+        //! resolved, its request is counted in completed (and failed),
+        //! and no longer in inFlight.
         [[nodiscard]] auto stats() const -> ServiceStats;
 
         [[nodiscard]] auto workerCount() const noexcept -> std::size_t
@@ -481,9 +484,22 @@ namespace alpaka::serve
         //! Moves overload victims (queued > watermark) into \p shed,
         //! most-expired/oldest-deadline first. Caller holds mutex_.
         void shedOverloadLocked(std::vector<Shed>& shed);
-        //! Completes shed futures (outside mutex_) and settles their
-        //! accounting (resolving_ was raised while popping them).
+        //! Settles the shed requests' stats, then completes their
+        //! futures (outside mutex_), then drops resolving_ (raised
+        //! while popping them).
         void resolveShed(std::vector<Shed>& shed);
+        //! Settles a dispatched batch's stats before its futures
+        //! resolve: \p requests leave in-flight for resolving and count
+        //! as completed, \p failures of them as failed. Caller holds
+        //! mutex_; finishResolving() follows the resolution.
+        void settleInFlightLocked(std::vector<Pending> const& requests, std::size_t failures);
+        //! drain()'s predicate: queued == in-flight == resolving == 0.
+        //! Caller holds mutex_.
+        [[nodiscard]] auto idleLocked() const -> bool;
+        //! Drops resolving_ by \p count once those futures have
+        //! resolved (their stats settled before) and wakes drain() if
+        //! the service went idle. Takes mutex_.
+        void finishResolving(std::size_t count);
         void workerLoop(Worker& worker);
         //! Lowers \p tmpl for slot \p slot (kernel job freeze or graph
         //! build + instantiate). Caller holds registryMutex_.
@@ -569,9 +585,9 @@ namespace alpaka::serve
         TenantState* activeHead_ = nullptr;
         TenantState* activeTail_ = nullptr;
         std::size_t inFlight_ = 0;
-        //! Requests off the queues whose typed-error resolution is still
-        //! running outside the lock; drain() waits for zero so a returned
-        //! drain() always means every future has resolved.
+        //! Requests whose stats have settled but whose futures are still
+        //! being resolved outside the lock; drain() waits for zero so a
+        //! returned drain() always means every future has resolved.
         std::size_t resolving_ = 0;
         std::uint64_t completed_ = 0;
         std::uint64_t failed_ = 0;

@@ -180,18 +180,17 @@ namespace alpaka::serve
             if(work != nullptr && !work->claimed.exchange(true, std::memory_order_acq_rel))
             {
                 auto& requests = work->batch.requests;
+                {
+                    std::scoped_lock lock(mutex_);
+                    settleInFlightLocked(requests, requests.size());
+                }
                 for(auto const& request : requests)
                     Future::complete(
                         request.future,
                         std::make_exception_ptr(WorkerLostError(
                             "serve::Service: worker " + std::to_string(worker->index)
                             + " unresponsive at shutdown; request outcome unknown")));
-                std::scoped_lock lock(mutex_);
-                inFlight_ -= requests.size();
-                completed_ += requests.size();
-                failed_ += requests.size();
-                for(auto const& request : requests)
-                    ++request.tenant->completed;
+                finishResolving(requests.size());
                 report.orphanedInFlight += requests.size();
             }
         }
@@ -234,6 +233,10 @@ namespace alpaka::serve
             activeTail_ = nullptr;
             queued_.store(0, std::memory_order_relaxed);
             resolving_ += abandoned.size();
+            completed_ += abandoned.size();
+            failed_ += abandoned.size();
+            for(auto const& pending : abandoned)
+                ++pending.tenant->completed;
         }
         for(auto const& pending : abandoned)
             Future::complete(
@@ -244,12 +247,7 @@ namespace alpaka::serve
         {
             report.clean = false;
             report.abandonedQueued = abandoned.size();
-            std::scoped_lock lock(mutex_);
-            resolving_ -= abandoned.size();
-            completed_ += abandoned.size();
-            failed_ += abandoned.size();
-            for(auto const& pending : abandoned)
-                ++pending.tenant->completed;
+            finishResolving(abandoned.size());
         }
         idleCv_.notify_all();
         {
@@ -750,27 +748,15 @@ namespace alpaka::serve
     {
         if(shed.empty())
             return;
-        // Futures first, outside the lock (a continuation may re-enter
-        // the service); only then the accounting that lets drain() return
-        // — so drain() returning always means the futures have resolved.
-        for(auto const& s : shed)
-        {
-            if(s.request.traceId != 0)
-            {
-                // A shed request's timeline still closes: both spans end
-                // here (the queued span was never closed at dispatch —
-                // shed requests bypass popBatchLocked's accounting).
-                ALPAKA_TRACE_ASYNC_END("serve.queued", s.request.traceId);
-                ALPAKA_TRACE_ASYNC_END("serve.request", s.request.traceId);
-            }
-            Future::complete(s.request.future, s.error);
-        }
-        bool idle = false;
+        // Stats settle first (resolving_ was raised at the pop, so
+        // drain() keeps waiting); then the futures, outside the lock (a
+        // continuation may re-enter the service); then resolving_ drops
+        // — so a resolved future always reads settled stats, and drain()
+        // returning always means the futures have resolved.
         {
             std::scoped_lock lock(mutex_);
             for(auto const& s : shed)
             {
-                --resolving_;
                 ++completed_;
                 ++failed_;
                 ++s.request.tenant->completed;
@@ -791,11 +777,21 @@ namespace alpaka::serve
                     ++shedOverload_;
                 }
             }
-            idle = queued_.load(std::memory_order_relaxed) == 0 && inFlight_ == 0 && resolving_ == 0;
         }
+        for(auto const& s : shed)
+        {
+            if(s.request.traceId != 0)
+            {
+                // A shed request's timeline still closes: both spans end
+                // here (the queued span was never closed at dispatch —
+                // shed requests bypass popBatchLocked's accounting).
+                ALPAKA_TRACE_ASYNC_END("serve.queued", s.request.traceId);
+                ALPAKA_TRACE_ASYNC_END("serve.request", s.request.traceId);
+            }
+            Future::complete(s.request.future, s.error);
+        }
+        finishResolving(shed.size());
         spaceCv_.notify_all();
-        if(idle)
-            idleCv_.notify_all();
         shed.clear();
     }
 
@@ -873,6 +869,10 @@ namespace alpaka::serve
             if(work->claimed.exchange(true, std::memory_order_acq_rel))
                 break;
 
+            // Stats settle before any future resolves: the batch moves
+            // from in-flight to resolving in one mutex_ section, so a
+            // client woken by its future reads its request as completed,
+            // while drain() keeps waiting until every future has resolved.
             auto const& outcomes = worker.outcomes;
             auto& requests = work->batch.requests;
             std::size_t failures = 0;
@@ -883,24 +883,20 @@ namespace alpaka::serve
                     ++failures;
                 latency_.record(static_cast<std::uint64_t>(
                     std::chrono::duration_cast<std::chrono::microseconds>(now - requests[i].admitted).count()));
-                if(requests[i].traceId != 0)
-                    ALPAKA_TRACE_ASYNC_END("serve.request", requests[i].traceId);
-                Future::complete(requests[i].future, outcomes[i]);
             }
-            bool idle = false;
             {
                 std::scoped_lock lock(mutex_);
                 worker.inFlight.reset();
                 worker.beat->busySinceNs.store(0, std::memory_order_relaxed);
-                inFlight_ -= requests.size();
-                completed_ += requests.size();
-                failed_ += failures;
-                for(auto const& request : requests)
-                    ++request.tenant->completed;
-                idle = queued_.load(std::memory_order_relaxed) == 0 && inFlight_ == 0 && resolving_ == 0;
+                settleInFlightLocked(requests, failures);
             }
-            if(idle)
-                idleCv_.notify_all();
+            for(std::size_t i = 0; i < requests.size(); ++i)
+            {
+                if(requests[i].traceId != 0)
+                    ALPAKA_TRACE_ASYNC_END("serve.request", requests[i].traceId);
+                Future::complete(requests[i].future, outcomes[i]);
+            }
+            finishResolving(requests.size());
         }
         worker.beat->exited.store(true, std::memory_order_release);
     }
@@ -965,8 +961,13 @@ namespace alpaka::serve
 
         for(auto const& l : lost)
         {
-            // Futures first (outside every lock), accounting later:
-            // drain() must not return between the two.
+            // Stats settle first, then the futures (outside every lock),
+            // then resolving_ drops: drain() must not return between the
+            // two, and a resolved future must read settled stats.
+            {
+                std::scoped_lock lock(mutex_);
+                settleInFlightLocked(l.work->batch.requests, l.work->batch.requests.size());
+            }
             for(auto const& request : l.work->batch.requests)
                 Future::complete(
                     request.future,
@@ -993,26 +994,15 @@ namespace alpaka::serve
                 fresh.reset();
             }
 
-            bool idle = false;
+            if(fresh != nullptr)
             {
                 std::scoped_lock lock(mutex_);
-                auto const& requests = l.work->batch.requests;
-                inFlight_ -= requests.size();
-                completed_ += requests.size();
-                failed_ += requests.size();
-                for(auto const& request : requests)
-                    ++request.tenant->completed;
-                if(fresh != nullptr)
-                {
-                    auto* const raw = fresh.get();
-                    workers_[l.slot] = std::move(fresh);
-                    ++workerRestarts_;
-                    raw->thread = std::thread([this, raw] { workerLoop(*raw); });
-                }
-                idle = queued_.load(std::memory_order_relaxed) == 0 && inFlight_ == 0 && resolving_ == 0;
+                auto* const raw = fresh.get();
+                workers_[l.slot] = std::move(fresh);
+                ++workerRestarts_;
+                raw->thread = std::thread([this, raw] { workerLoop(*raw); });
             }
-            if(idle)
-                idleCv_.notify_all();
+            finishResolving(l.work->batch.requests.size());
             workWord_.publish();
         }
     }
@@ -1152,12 +1142,37 @@ namespace alpaka::serve
     // ------------------------------------------------------------------
     // introspection
 
+    void Service::settleInFlightLocked(std::vector<Pending> const& requests, std::size_t failures)
+    {
+        inFlight_ -= requests.size();
+        resolving_ += requests.size();
+        completed_ += requests.size();
+        failed_ += failures;
+        for(auto const& request : requests)
+            ++request.tenant->completed;
+    }
+
+    auto Service::idleLocked() const -> bool
+    {
+        return queued_.load(std::memory_order_relaxed) == 0 && inFlight_ == 0 && resolving_ == 0;
+    }
+
+    void Service::finishResolving(std::size_t count)
+    {
+        bool idle = false;
+        {
+            std::scoped_lock lock(mutex_);
+            resolving_ -= count;
+            idle = idleLocked();
+        }
+        if(idle)
+            idleCv_.notify_all();
+    }
+
     void Service::drain()
     {
         std::unique_lock lock(mutex_);
-        idleCv_.wait(
-            lock,
-            [&] { return queued_.load(std::memory_order_relaxed) == 0 && inFlight_ == 0 && resolving_ == 0; });
+        idleCv_.wait(lock, [&] { return idleLocked(); });
     }
 
     auto Service::stats() const -> ServiceStats

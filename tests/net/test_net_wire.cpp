@@ -248,3 +248,85 @@ TEST(NetWire, FuzzedValidFramesDecodeClean)
         ASSERT_EQ(out.reqId, h.reqId);
     }
 }
+
+// ------------------------------------------------------------------
+// Known answers: the CRC and the frame bytes are protocol constants, so
+// a faster codec must reproduce them exactly.
+
+namespace
+{
+    //! Bit-at-a-time reference CRC32 (reflected 0xEDB88320), kept here
+    //! independent of the codec's tables.
+    [[nodiscard]] auto referenceCrc(std::uint32_t crc, std::byte const* data, std::size_t len) -> std::uint32_t
+    {
+        for(std::size_t i = 0; i < len; ++i)
+        {
+            crc ^= static_cast<std::uint32_t>(data[i]);
+            for(int k = 0; k < 8; ++k)
+                crc = (crc & 1U) != 0 ? 0xEDB88320U ^ (crc >> 1U) : crc >> 1U;
+        }
+        return crc;
+    }
+
+    //! The CRC-32 check input, "123456789".
+    constexpr auto checkInput = []
+    {
+        std::array<std::byte, 9> bytes{};
+        for(std::size_t i = 0; i < bytes.size(); ++i)
+            bytes[i] = static_cast<std::byte>('1' + i);
+        return bytes;
+    }();
+} // namespace
+
+// crc32Update stays usable in a constant expression.
+static_assert(
+    (net::detail::crc32Update(0xFFFFFFFFU, checkInput.data(), checkInput.size()) ^ 0xFFFFFFFFU) == 0xCBF43926U);
+
+//! The CRC-32 check value ("123456789" -> 0xCBF43926), at run time too.
+TEST(NetWire, Crc32CheckValue)
+{
+    auto const* const bytes = reinterpret_cast<std::byte const*>("123456789");
+    EXPECT_EQ(net::detail::crc32Update(0xFFFFFFFFU, bytes, 9) ^ 0xFFFFFFFFU, 0xCBF43926U);
+}
+
+//! Every input length 0..200 (all eight-byte-block/tail splits), random
+//! bytes and random start states, against the bitwise reference.
+TEST(NetWire, Crc32MatchesBitwiseReference)
+{
+    auto const seed = envSeed();
+    SCOPED_TRACE("ALPAKA_STRESS_SEED=" + std::to_string(seed));
+    std::mt19937_64 rng(seed ^ 0xC4C32ULL);
+    std::vector<std::byte> data(200);
+    for(int iter = 0; iter < 20'000; ++iter)
+    {
+        auto const len = static_cast<std::size_t>(iter % 201);
+        auto const offset = static_cast<std::size_t>(rng() % (data.size() - len + 1));
+        for(auto& b : data)
+            b = static_cast<std::byte>(rng());
+        auto const start = static_cast<std::uint32_t>(rng());
+        ASSERT_EQ(
+            net::detail::crc32Update(start, data.data() + offset, len),
+            referenceCrc(start, data.data() + offset, len))
+            << "iter " << iter << " len " << len << " offset " << offset;
+    }
+}
+
+//! A whole 48-byte Request frame (header + 16-byte payload, CRC
+//! embedded), byte for byte: the wire format does not move.
+TEST(NetWire, GoldenRequestFrame)
+{
+    constexpr std::array<unsigned, 48> golden{
+        0xFA, 0xA1, 0x02, 0x02, 0x00, 0x00, 0x07, 0x00, // magic, version, type, status, shardHint
+        0x2A, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, // tmpl, payloadLen
+        0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, // reqId
+        0xC4, 0x09, 0x00, 0x00, 0x54, 0x97, 0x4C, 0xB5, // deadlineUs, crc
+        0x01, 0x04, 0x07, 0x0A, 0x0D, 0x10, 0x13, 0x16, // payload
+        0x19, 0x1C, 0x1F, 0x22, 0x25, 0x28, 0x2B, 0x2E};
+    auto const payload = samplePayload();
+    std::array<std::byte, net::headerSize + 16> frame{};
+    net::encodeHeader(sampleHeader(), frame.data(), payload.data(), payload.size());
+    std::memcpy(frame.data() + net::headerSize, payload.data(), payload.size());
+    for(std::size_t i = 0; i < golden.size(); ++i)
+        EXPECT_EQ(static_cast<unsigned>(frame[i]), golden[i]) << "byte " << i;
+    EXPECT_EQ(net::verifyCrc(frame.data(), frame.data() + net::headerSize, 16), net::DecodeError::None);
+}

@@ -303,7 +303,7 @@ TEST(ServeResilience, SupervisorRestartsStalledWorkerAndFailsItsBatchTyped)
     svc.submit(scaleId, "t", &p).wait();
     EXPECT_DOUBLE_EQ(p.out, 17.0);
     svc.submit(slowId, "t", nullptr).wait(); // the slow template itself is fine now
-    svc.drain(); // futures resolve before accounting settles; stats need the latter
+    svc.drain(); // the barrier for "every future resolved, every restart counted"
 
     auto const stats = svc.stats();
     EXPECT_EQ(stats.workersLost, 1u);
