@@ -13,10 +13,6 @@
 #include <graph/capture.hpp>
 #include <graph/exec.hpp>
 #include <graph/graph.hpp>
-#include <net/client.hpp>
-#include <net/front_door.hpp>
-#include <net/router.hpp>
-#include <net/transport.hpp>
 #include <obs/health.hpp>
 #include <obs/registry.hpp>
 #include <serve/service.hpp>
@@ -31,10 +27,9 @@
 #include <condition_variable>
 #include <functional>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <mutex>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -259,17 +254,9 @@ namespace
         }
     };
 
-    //! Pipeline kernels of the graph-replay scenario: trivial per-block
-    //! bodies, so the measured quantity is pure submission machinery.
-    struct SourceKernel
-    {
-        template<typename TAcc>
-        ALPAKA_FN_ACC void operator()(TAcc const& acc, double* out) const
-        {
-            auto const b = idx::getIdx<Grid, Blocks>(acc)[0];
-            out[b] = static_cast<double>(b);
-        }
-    };
+    //! Pipeline kernels of the graph-replay scenario (with CheapKernel as
+    //! the source): trivial per-block bodies, so the measured quantity is
+    //! pure submission machinery.
     struct MulAddKernel
     {
         template<typename TAcc>
@@ -288,32 +275,6 @@ namespace
             out[b] = x[b] + y[b];
         }
     };
-    struct AddInKernel
-    {
-        template<typename TAcc>
-        ALPAKA_FN_ACC void operator()(TAcc const& acc, double const* x, double* out) const
-        {
-            auto const b = idx::getIdx<Grid, Blocks>(acc)[0];
-            out[b] += x[b];
-        }
-    };
-
-    //! Seconds per launch of \p launches back-to-back launches.
-    template<typename TFn>
-    auto secondsPerLaunch(std::size_t launches, TFn&& launch) -> double
-    {
-        // Warm up arenas, pool threads, futex state.
-        for(int i = 0; i < 32; ++i)
-            launch();
-        auto const total = bench::timeBestOf(
-            bench::defaultReps(),
-            [&]
-            {
-                for(std::size_t i = 0; i < launches; ++i)
-                    launch();
-            });
-        return total / static_cast<double>(launches);
-    }
 
     //! The seed's per-launch arena behaviour for the baseline: one fresh
     //! 4 MB allocation per participant per launch.
@@ -325,55 +286,18 @@ namespace
         return arenas;
     }
 
-    //! The acceptance gates of this bench, each with a name: every check
-    //! prints "gate <name>: <value> <op> <threshold> PASS|FAIL", and the
-    //! final verdict names the gates that failed.
-    class Gates
+    //! Runs fn(i) for every i in [0, n) on its own thread and joins them:
+    //! the submitter and client threads of every concurrent scenario.
+    //! Each thread gets its own copy of \p fn, so by-value captures are
+    //! thread-local rather than shared with the caller's stack.
+    template<typename TFn>
+    void onThreads(std::size_t n, TFn const& fn)
     {
-    public:
-        template<typename T>
-        void atLeast(std::string const& name, T value, T threshold)
-        {
-            record(name, value, ">=", threshold, value >= threshold);
-        }
-        template<typename T>
-        void atMost(std::string const& name, T value, T threshold)
-        {
-            record(name, value, "<=", threshold, value <= threshold);
-        }
-        template<typename T>
-        void equal(std::string const& name, T value, T expected)
-        {
-            record(name, value, "==", expected, value == expected);
-        }
-
-        [[nodiscard]] auto ok() const -> bool
-        {
-            return failed_.empty();
-        }
-        //! Comma-separated names of the failed gates.
-        [[nodiscard]] auto failedNames() const -> std::string
-        {
-            std::string names;
-            for(auto const& name : failed_)
-                names += (names.empty() ? "" : ", ") + name;
-            return names;
-        }
-
-    private:
-        template<typename T>
-        void record(std::string const& name, T value, char const* op, T threshold, bool pass)
-        {
-            std::ostringstream line;
-            line << std::boolalpha << "gate " << name << ": " << value << ' ' << op << ' ' << threshold
-                 << (pass ? " PASS" : " FAIL") << '\n';
-            std::cout << line.str();
-            if(!pass)
-                failed_.push_back(name);
-        }
-
-        std::vector<std::string> failed_;
-    };
+        std::vector<std::jthread> threads;
+        threads.reserve(n);
+        for(std::size_t i = 0; i < n; ++i)
+            threads.emplace_back([fn, i] { fn(i); });
+    }
 } // namespace
 
 auto main() -> int
@@ -388,7 +312,64 @@ auto main() -> int
 
     bench::JsonReport report("launch_overhead");
     bench::Table table({"grid blocks", "engine", "ns/launch", "speedup vs seed"});
-    Gates gates;
+    bench::Gates gates;
+
+    // Every ratio below is bench::paired: side A is the baseline, side B
+    // the subject, so a speedup is 1 / (B/A) and an overhead is B/A.
+    //
+    // Table row and report record of a speedup pair, in ns per unit of
+    // work; scenario-specific fields follow on the same record.
+    // \returns the speedup.
+    auto const recordSpeedup = [&](std::string const& label,
+                                   char const* engine,
+                                   char const* acc,
+                                   double nsPerUnit,
+                                   char const* baselineKey,
+                                   char const* subjectKey,
+                                   bench::Paired const& ratio)
+    {
+        auto const speedup = 1.0 / ratio.median;
+        table.addRow({label, engine, bench::fmt(ratio.bSeconds * nsPerUnit, 0), bench::fmt(speedup, 2)});
+        report.beginRecord();
+        report.str("acc", acc);
+        report.num(baselineKey, ratio.aSeconds * nsPerUnit);
+        report.num(subjectKey, ratio.bSeconds * nsPerUnit);
+        report.num("speedup", speedup);
+        return speedup;
+    };
+    // One pair of `launches` back-to-back launches of the seed engine (A)
+    // and the new one (B) on a grid of \p blocks, after warming arenas,
+    // pool threads and futex state on both. \returns the speedup.
+    auto const launchPair = [&](char const* engine, char const* acc, Size blocks, auto&& seedLaunch, auto&& newLaunch)
+    {
+        for(int i = 0; i < 32; ++i)
+        {
+            seedLaunch();
+            newLaunch();
+        }
+        auto const ratio = bench::paired(
+            1,
+            [&]
+            {
+                for(std::size_t i = 0; i < launches; ++i)
+                    seedLaunch();
+            },
+            [&]
+            {
+                for(std::size_t i = 0; i < launches; ++i)
+                    newLaunch();
+            });
+        auto const speedup = recordSpeedup(
+            std::to_string(blocks),
+            engine,
+            acc,
+            1e9 / static_cast<double>(launches),
+            "ns_per_launch_seed_engine",
+            "ns_per_launch_new_engine",
+            ratio);
+        report.num("grid_blocks", static_cast<std::size_t>(blocks));
+        return speedup;
+    };
 
     for(Size const blocks : {Size{1}, Size{8}, Size{64}, Size{512}})
     {
@@ -398,14 +379,6 @@ auto main() -> int
         MutexPerIndexPool seedPool(workers);
         std::function<void(std::size_t)> const seedBody = [&](std::size_t b)
         { out[b] = static_cast<double>(b) * 1.000001 + 0.5; };
-        auto const tSeed = secondsPerLaunch(
-            launches,
-            [&]
-            {
-                auto const arenas = baselineArenas(workers + 1);
-                (void) arenas;
-                seedPool.parallelFor(blocks, seedBody);
-            });
 
         // ---- new engine, full alpaka launch path on AccCpuTaskBlocks
         using Acc = acc::AccCpuTaskBlocks<Dim1, Size>;
@@ -413,52 +386,37 @@ auto main() -> int
         stream::StreamCpuSync stream(dev);
         workdiv::WorkDivMembers<Dim1, Size> const wd(blocks, Size{1}, Size{1});
         auto const exec = exec::create<Acc>(wd, CheapKernel{}, out.data());
-        auto const tNew = secondsPerLaunch(launches, [&] { stream::enqueue(stream, exec); });
 
-        auto const speedup = tSeed / tNew;
-        table.addRow(
-            {std::to_string(blocks),
-             "TaskBlocks",
-             bench::fmt(tNew * 1e9, 0),
-             bench::fmt(speedup, 2)});
-        report.beginRecord();
-        report.str("acc", "AccCpuTaskBlocks");
-        report.num("grid_blocks", static_cast<std::size_t>(blocks));
-        report.num("ns_per_launch_seed_engine", tSeed * 1e9);
-        report.num("ns_per_launch_new_engine", tNew * 1e9);
-        report.num("speedup", speedup);
+        auto const speedup = launchPair(
+            "TaskBlocks",
+            "AccCpuTaskBlocks",
+            blocks,
+            [&]
+            {
+                auto const arenas = baselineArenas(workers + 1);
+                (void) arenas;
+                seedPool.parallelFor(blocks, seedBody);
+            },
+            [&] { stream::enqueue(stream, exec); });
         // The acceptance gate targets the small-grid cheap-kernel case.
         if(blocks <= 64)
             gates.atLeast("launch_taskblocks_grid" + std::to_string(blocks), speedup, 3.0);
-    }
 
-    // Secondary series: raw pool loop (no alpaka wrapping) to separate the
-    // scheduler win from the arena/executor win.
-    for(Size const blocks : {Size{8}, Size{64}})
-    {
-        std::vector<double> out(blocks, 0.0);
-        MutexPerIndexPool seedPool(workers);
-        std::function<void(std::size_t)> const body = [&](std::size_t b)
-        { out[b] = static_cast<double>(b) * 1.000001 + 0.5; };
-        auto const tSeed
-            = secondsPerLaunch(launches, [&] { seedPool.parallelFor(blocks, body); });
-        auto const tNew = secondsPerLaunch(
-            launches,
-            [&]
-            {
-                threadpool::ThreadPool::global().parallelForTemplated(
-                    static_cast<std::size_t>(blocks),
-                    [&](std::size_t b) { out[b] = static_cast<double>(b) * 1.000001 + 0.5; });
-            });
-        auto const speedup = tSeed / tNew;
-        table.addRow(
-            {std::to_string(blocks), "raw pool", bench::fmt(tNew * 1e9, 0), bench::fmt(speedup, 2)});
-        report.beginRecord();
-        report.str("acc", "raw_parallel_for");
-        report.num("grid_blocks", static_cast<std::size_t>(blocks));
-        report.num("ns_per_launch_seed_engine", tSeed * 1e9);
-        report.num("ns_per_launch_new_engine", tNew * 1e9);
-        report.num("speedup", speedup);
+        // Secondary series: raw pool loop (no alpaka wrapping, no seed
+        // arenas) to separate the scheduler win from the arena/executor
+        // win.
+        if(blocks == 8 || blocks == 64)
+            launchPair(
+                "raw pool",
+                "raw_parallel_for",
+                blocks,
+                [&] { seedPool.parallelFor(blocks, seedBody); },
+                [&]
+                {
+                    threadpool::ThreadPool::global().parallelForTemplated(
+                        static_cast<std::size_t>(blocks),
+                        [&](std::size_t b) { out[b] = static_cast<double>(b) * 1.000001 + 0.5; });
+                });
     }
 
     // Concurrent-submitters scenario (PR 2, DESIGN.md §3.5): K submitter
@@ -469,67 +427,73 @@ auto main() -> int
     // must deliver >= 2x the aggregate throughput with 4 submitters.
     {
         constexpr std::size_t submitters = 4;
-        auto const perSubmitter = bench::fullSweep() ? std::size_t{1500} : std::size_t{400};
-        auto const totalLaunches = static_cast<double>(submitters * perSubmitter);
+        using Bodies = std::vector<std::function<void(std::size_t)>>;
+
+        // One pair of single-slot engine (A) vs job ring (B), recorded per
+        // launch. Each side builds its own pool, untimed, and only one
+        // pool is alive at a time. \returns the speedup.
+        auto const enginePair = [&](std::string const& label,
+                                    char const* acc,
+                                    Size blocks,
+                                    std::size_t perSubmitter,
+                                    Bodies const& bodies)
+        {
+            auto const submitAll = [&](auto& pool)
+            {
+                onThreads(
+                    submitters,
+                    [&pool, &bodies, blocks, perSubmitter](std::size_t s)
+                    {
+                        auto const& body = bodies[s];
+                        for(std::size_t i = 0; i < perSubmitter; ++i)
+                            pool.parallelFor(blocks, body);
+                    });
+            };
+            std::optional<SingleSlotPool> single;
+            std::optional<threadpool::ThreadPool> ring;
+            auto const ratio = bench::paired(
+                1,
+                [&] { submitAll(*single); },
+                [&] { submitAll(*ring); },
+                bench::defaultReps(),
+                [&](bench::Side side)
+                {
+                    single.reset();
+                    ring.reset();
+                    if(side == bench::Side::a)
+                        single.emplace(workers);
+                    else
+                        ring.emplace(workers);
+                });
+            auto const speedup = recordSpeedup(
+                label,
+                "4 submitters",
+                acc,
+                1e9 / static_cast<double>(submitters * perSubmitter),
+                "ns_per_launch_single_slot_engine",
+                "ns_per_launch_job_ring",
+                ratio);
+            report.num("submitters", submitters);
+            report.num("grid_blocks", static_cast<std::size_t>(blocks));
+            return speedup;
+        };
 
         // Engine-vs-engine pairing: the baseline arm is a bench-local
         // replica that carries no recording sites, so in traced builds
         // the comparison is confounded unless recording is runtime-off
         // (the tracing gate in the serve scenario prices recording).
         trace::setEnabled(false);
+        auto const perSubmitter = bench::fullSweep() ? std::size_t{1500} : std::size_t{400};
         for(Size const blocks : {Size{8}, Size{64}})
         {
-            // One output vector and one callable per submitter: only the
-            // engine is shared, as with independent streams.
+            // One output vector and one callable per submitter.
             std::vector<std::vector<double>> outs(submitters, std::vector<double>(blocks, 0.0));
-            std::vector<std::function<void(std::size_t)>> bodies;
+            Bodies bodies;
             for(std::size_t s = 0; s < submitters; ++s)
                 bodies.emplace_back([out = outs[s].data()](std::size_t b)
                                     { out[b] = static_cast<double>(b) * 1.000001 + 0.5; });
-
-            auto const aggregate = [&](auto& pool)
-            {
-                return bench::timeBestOf(
-                           bench::defaultReps(),
-                           [&]
-                           {
-                               std::vector<std::jthread> threads;
-                               threads.reserve(submitters);
-                               for(std::size_t s = 0; s < submitters; ++s)
-                                   threads.emplace_back(
-                                       [&pool, &body = bodies[s], blocks, perSubmitter]
-                                       {
-                                           for(std::size_t i = 0; i < perSubmitter; ++i)
-                                               pool.parallelFor(blocks, body);
-                                       });
-                           })
-                     / totalLaunches;
-            };
-
-            double tSingle = 0.0;
-            double tRing = 0.0;
-            {
-                SingleSlotPool pool(workers);
-                tSingle = aggregate(pool);
-            }
-            {
-                threadpool::ThreadPool pool(workers);
-                tRing = aggregate(pool);
-            }
-
-            auto const speedup = tSingle / tRing;
-            table.addRow(
-                {std::to_string(blocks),
-                 "4 submitters",
-                 bench::fmt(tRing * 1e9, 0),
-                 bench::fmt(speedup, 2)});
-            report.beginRecord();
-            report.str("acc", "concurrent_submitters");
-            report.num("submitters", submitters);
-            report.num("grid_blocks", static_cast<std::size_t>(blocks));
-            report.num("ns_per_launch_single_slot_engine", tSingle * 1e9);
-            report.num("ns_per_launch_job_ring", tRing * 1e9);
-            report.num("speedup", speedup);
+            auto const speedup
+                = enginePair(std::to_string(blocks), "concurrent_submitters", blocks, perSubmitter, bodies);
             // CPU-bound gate only where it is physically meaningful:
             // aggregate throughput of CPU-bound launches is bounded by the
             // cores executing the bodies, so a 1-core host caps at 1x and
@@ -537,11 +501,8 @@ auto main() -> int
             // of engine. Demand the 2x overlap only with >= 4 hardware
             // threads (4 submitters can then genuinely run concurrently);
             // below that the ring must merely not regress.
-            auto const submitGate = "concurrent_submitters_grid" + std::to_string(blocks);
-            if(std::thread::hardware_concurrency() >= 4)
-                gates.atLeast(submitGate, speedup, 2.0);
-            else
-                gates.atLeast(submitGate, speedup, 0.8);
+            auto const threshold = std::thread::hardware_concurrency() >= 4 ? 2.0 : 0.8;
+            gates.atLeast("concurrent_submitters_grid" + std::to_string(blocks), speedup, threshold);
         }
 
         // The gate scenario: stall-bound blocks. Streams exist to overlap
@@ -558,52 +519,14 @@ auto main() -> int
             constexpr Size stallBlocks = 4;
             constexpr auto stallPerBlock = std::chrono::microseconds{100};
             auto const stallLaunches = bench::fullSweep() ? std::size_t{40} : std::size_t{15};
-            std::function<void(std::size_t)> const stallBody
-                = [&](std::size_t) { std::this_thread::sleep_for(stallPerBlock); };
-
-            auto const aggregate = [&](auto& pool)
-            {
-                return bench::timeBestOf(
-                           bench::defaultReps(),
-                           [&]
-                           {
-                               std::vector<std::jthread> threads;
-                               threads.reserve(submitters);
-                               for(std::size_t s = 0; s < submitters; ++s)
-                                   threads.emplace_back(
-                                       [&pool, &stallBody, stallLaunches]
-                                       {
-                                           for(std::size_t i = 0; i < stallLaunches; ++i)
-                                               pool.parallelFor(stallBlocks, stallBody);
-                                       });
-                           })
-                     / static_cast<double>(submitters * stallLaunches);
-            };
-
-            double tSingle = 0.0;
-            double tRing = 0.0;
-            {
-                SingleSlotPool pool(workers);
-                tSingle = aggregate(pool);
-            }
-            {
-                threadpool::ThreadPool pool(workers);
-                tRing = aggregate(pool);
-            }
-            auto const speedup = tSingle / tRing;
-            table.addRow(
-                {std::to_string(stallBlocks) + " stalled",
-                 "4 submitters",
-                 bench::fmt(tRing * 1e9, 0),
-                 bench::fmt(speedup, 2)});
-            report.beginRecord();
-            report.str("acc", "concurrent_submitters_stall");
-            report.num("submitters", submitters);
-            report.num("grid_blocks", static_cast<std::size_t>(stallBlocks));
+            Bodies const stallBodies(submitters, [=](std::size_t) { std::this_thread::sleep_for(stallPerBlock); });
+            auto const speedup = enginePair(
+                std::to_string(stallBlocks) + " stalled",
+                "concurrent_submitters_stall",
+                stallBlocks,
+                stallLaunches,
+                stallBodies);
             report.num("stall_us_per_block", static_cast<double>(stallPerBlock.count()));
-            report.num("ns_per_launch_single_slot_engine", tSingle * 1e9);
-            report.num("ns_per_launch_job_ring", tRing * 1e9);
-            report.num("speedup", speedup);
             gates.atLeast("concurrent_submitters_stall", speedup, 2.0);
         }
         trace::setEnabled(true);
@@ -615,7 +538,7 @@ auto main() -> int
     // stream (the pre-graph cost: 8 enqueues, 6 pool publishes, event
     // wiring, every iteration) or captured ONCE into a graph::Exec and
     // replayed (1 enqueue + 1 pre-built pool job per iteration). Both run
-    // on the same async stream without per-iteration waits, the honest
+    // on an async stream without per-iteration waits, the honest
     // iterative-pipeline regime; blocks are few and bodies trivial, so
     // the measurement is submission-bound — the regime the ≥ 2x
     // acceptance gate targets.
@@ -631,87 +554,60 @@ auto main() -> int
         mem::view::ViewPlainPtr<dev::DevCpu, double, Dim1, Size> cView(c.data(), dev, extent);
         mem::view::ViewPlainPtr<dev::DevCpu, double, Dim1, Size> outView(out.data(), dev, extent);
         event::EventCpu ev(dev);
-
-        // ---- per-call resubmission baseline
-        double tDirect = 0.0;
+        auto const enqueuePipeline = [&](stream::StreamCpuAsync& s)
         {
-            stream::StreamCpuAsync s(dev);
-            auto const enqueueAll = [&]
-            {
-                stream::enqueue(s, exec::create<Acc>(wd, SourceKernel{}, a.data()));
-                stream::enqueue(s, exec::create<Acc>(wd, MulAddKernel{}, a.data(), b1.data(), 2.0, 0.0));
-                stream::enqueue(s, exec::create<Acc>(wd, MulAddKernel{}, a.data(), b2.data(), 1.0, 3.0));
-                stream::enqueue(s, exec::create<Acc>(wd, MulAddKernel{}, a.data(), b3.data(), 0.5, 1.0));
-                stream::enqueue(s, exec::create<Acc>(wd, Join2Kernel{}, b1.data(), b2.data(), c.data()));
-                stream::enqueue(s, exec::create<Acc>(wd, AddInKernel{}, b3.data(), c.data()));
-                mem::view::copy(s, outView, cView, extent);
-                stream::enqueue(s, ev);
-            };
-            for(int i = 0; i < 16; ++i)
-                enqueueAll();
-            s.wait();
-            tDirect = bench::timeBestOf(
-                          bench::defaultReps(),
-                          [&]
-                          {
-                              for(std::size_t i = 0; i < iterations; ++i)
-                                  enqueueAll();
-                              s.wait();
-                          })
-                      / static_cast<double>(iterations);
+            stream::enqueue(s, exec::create<Acc>(wd, CheapKernel{}, a.data()));
+            stream::enqueue(s, exec::create<Acc>(wd, MulAddKernel{}, a.data(), b1.data(), 2.0, 0.0));
+            stream::enqueue(s, exec::create<Acc>(wd, MulAddKernel{}, a.data(), b2.data(), 1.0, 3.0));
+            stream::enqueue(s, exec::create<Acc>(wd, MulAddKernel{}, a.data(), b3.data(), 0.5, 1.0));
+            stream::enqueue(s, exec::create<Acc>(wd, Join2Kernel{}, b1.data(), b2.data(), c.data()));
+            stream::enqueue(s, exec::create<Acc>(wd, Join2Kernel{}, b3.data(), c.data(), c.data()));
+            mem::view::copy(s, outView, cView, extent);
+            stream::enqueue(s, ev);
+        };
+
+        // ---- per-call resubmission baseline vs capture-once / replay-N
+        stream::StreamCpuAsync direct(dev);
+        stream::StreamCpuAsync replayed(dev);
+        alpaka::graph::Graph g;
+        {
+            alpaka::graph::Capture capture(g);
+            capture.add(replayed);
+            enqueuePipeline(replayed);
+            capture.end();
         }
+        alpaka::graph::Exec exec(g);
+        auto const resubmit = [&](std::size_t n)
+        {
+            for(std::size_t i = 0; i < n; ++i)
+                enqueuePipeline(direct);
+            direct.wait();
+        };
+        auto const replay = [&](std::size_t n)
+        {
+            for(std::size_t i = 0; i < n; ++i)
+                exec.replay(replayed);
+            replayed.wait();
+        };
+
+        // Warm both; the replay must reproduce the resubmitted result.
+        resubmit(16);
         auto const directResult = out;
+        std::fill(out.begin(), out.end(), 0.0);
+        replay(16);
+        gates.equal("graph_replay_matches_resubmission", out == directResult, true);
 
-        // ---- capture-once / replay-N
-        double tReplay = 0.0;
-        {
-            stream::StreamCpuAsync s(dev);
-            alpaka::graph::Graph g;
-            {
-                alpaka::graph::Capture capture(g);
-                capture.add(s);
-                stream::enqueue(s, exec::create<Acc>(wd, SourceKernel{}, a.data()));
-                stream::enqueue(s, exec::create<Acc>(wd, MulAddKernel{}, a.data(), b1.data(), 2.0, 0.0));
-                stream::enqueue(s, exec::create<Acc>(wd, MulAddKernel{}, a.data(), b2.data(), 1.0, 3.0));
-                stream::enqueue(s, exec::create<Acc>(wd, MulAddKernel{}, a.data(), b3.data(), 0.5, 1.0));
-                stream::enqueue(s, exec::create<Acc>(wd, Join2Kernel{}, b1.data(), b2.data(), c.data()));
-                stream::enqueue(s, exec::create<Acc>(wd, AddInKernel{}, b3.data(), c.data()));
-                mem::view::copy(s, outView, cView, extent);
-                stream::enqueue(s, ev);
-                capture.end();
-            }
-            alpaka::graph::Exec exec(g);
-            std::fill(out.begin(), out.end(), 0.0);
-            for(int i = 0; i < 16; ++i)
-                exec.replay(s);
-            s.wait();
-            tReplay = bench::timeBestOf(
-                          bench::defaultReps(),
-                          [&]
-                          {
-                              for(std::size_t i = 0; i < iterations; ++i)
-                                  exec.replay(s);
-                              s.wait();
-                          })
-                      / static_cast<double>(iterations);
-            if(out != directResult)
-                std::cerr << "error: graph replay result diverged from resubmission\n";
-            gates.equal("graph_replay_matches_resubmission", out == directResult, true);
-        }
-
-        auto const speedup = tDirect / tReplay;
-        table.addRow(
-            {"8-node diamond",
-             "graph replay",
-             bench::fmt(tReplay * 1e9, 0),
-             bench::fmt(speedup, 2)});
-        report.beginRecord();
-        report.str("acc", "graph_replay");
+        auto const ratio = bench::paired(1, [&] { resubmit(iterations); }, [&] { replay(iterations); });
+        auto const speedup = recordSpeedup(
+            "8-node diamond",
+            "graph replay",
+            "graph_replay",
+            1e9 / static_cast<double>(iterations),
+            "ns_per_iteration_resubmission",
+            "ns_per_iteration_replay",
+            ratio);
         report.num("pipeline_nodes", std::size_t{8});
         report.num("grid_blocks", static_cast<std::size_t>(blocks));
-        report.num("ns_per_iteration_resubmission", tDirect * 1e9);
-        report.num("ns_per_iteration_replay", tReplay * 1e9);
-        report.num("speedup", speedup);
         // ISSUE 3 acceptance gate: replay >= 2x resubmission on the
         // submission-bound shape.
         gates.atLeast("graph_replay", speedup, 2.0);
@@ -737,28 +633,23 @@ auto main() -> int
         constexpr std::size_t churnStreams = 2;
         auto const perStream = bench::fullSweep() ? std::size_t{600} : std::size_t{200};
         workdiv::WorkDivMembers<Dim1, Size> const wd(blocks, Size{1}, Size{1});
-        auto const totalIters = static_cast<double>(churnStreams * perStream);
 
-        auto const aggregate = [&](auto&& iteration)
+        // \returns a run in which each of the streams, on its own
+        // submitter thread, performs `perStream` iterations.
+        auto const churn = [&](auto iteration)
         {
-            return bench::timeBestOf(
-                       bench::defaultReps(),
-                       [&]
-                       {
-                           std::vector<std::jthread> threads;
-                           threads.reserve(churnStreams);
-                           for(std::size_t t = 0; t < churnStreams; ++t)
-                               threads.emplace_back(
-                                   [&iteration, perStream]
-                                   {
-                                       stream::StreamCpuAsync s(
-                                           dev::DevMan<acc::AccCpuTaskBlocks<Dim1, Size>>::getDevByIdx(0));
-                                       for(std::size_t i = 0; i < perStream; ++i)
-                                           iteration(s);
-                                       s.wait();
-                                   });
-                       })
-                 / totalIters;
+            return [&, iteration]
+            {
+                onThreads(
+                    churnStreams,
+                    [&dev, &iteration, perStream](std::size_t)
+                    {
+                        stream::StreamCpuAsync s(dev);
+                        for(std::size_t i = 0; i < perStream; ++i)
+                            iteration(s);
+                        s.wait();
+                    });
+            };
         };
 
         // Warm the pool once so the measured pooled loop is the steady
@@ -779,58 +670,46 @@ auto main() -> int
         // recording is runtime-off here — the tracing gate in the serve
         // scenario prices recording by itself.
         trace::setEnabled(false);
-        auto const iterDirect = [&](stream::StreamCpuAsync& s)
-        {
-            auto buf = mem::buf::alloc<double, Size>(dev, elems);
-            stream::enqueue(s, exec::create<Acc>(wd, CheapKernel{}, buf.data()));
-            s.wait(); // the buffer dies at scope end; the kernel must be done
-        };
-        auto const iterPooled = [&](stream::StreamCpuAsync& s)
-        {
-            auto buf = mem::buf::allocAsync<double, Size>(s, elems);
-            stream::enqueue(s, exec::create<Acc>(wd, CheapKernel{}, buf.data()));
-            mem::buf::freeAsync(s, buf);
-        };
-        // Interleaved pairs, same drift discipline as the resilience
-        // gate below: the single-shot ratio straddled the 2x threshold
-        // run to run purely on box load. The gate takes the best
-        // pairwise ratio (one-sided: it may only excuse noise — a real
-        // shortfall shows in every pairing); the REPORTED numbers are
-        // the pair behind the median ratio.
-        double tDirect = 0.0;
-        double tPooled = 0.0;
-        std::vector<std::array<double, 2>> allocPairs;
-        for(int pair = 0; pair < 3; ++pair)
-            allocPairs.push_back({aggregate(iterDirect), aggregate(iterPooled)});
-        std::sort(
-            allocPairs.begin(),
-            allocPairs.end(),
-            [](auto const& a, auto const& b) { return a[0] / a[1] < b[0] / b[1]; });
-        tDirect = allocPairs[1][0];
-        tPooled = allocPairs[1][1];
-        auto const bestRatio = allocPairs.back()[0] / allocPairs.back()[1];
+        // Three interleaved pairs: the single-shot ratio straddled the 2x
+        // threshold run to run purely on box load. The gate takes the
+        // best pair (one-sided: it may only excuse noise — a real
+        // shortfall shows in every pairing); the REPORTED speedup is the
+        // median pair.
+        auto const ratio = bench::paired(
+            3,
+            churn(
+                [&](stream::StreamCpuAsync& s)
+                {
+                    auto buf = mem::buf::alloc<double, Size>(dev, elems);
+                    stream::enqueue(s, exec::create<Acc>(wd, CheapKernel{}, buf.data()));
+                    s.wait(); // the buffer dies at scope end; the kernel must be done
+                }),
+            churn(
+                [&](stream::StreamCpuAsync& s)
+                {
+                    auto buf = mem::buf::allocAsync<double, Size>(s, elems);
+                    stream::enqueue(s, exec::create<Acc>(wd, CheapKernel{}, buf.data()));
+                    mem::buf::freeAsync(s, buf);
+                }));
         trace::setEnabled(true);
 
-        auto const speedup = tDirect / tPooled;
-        table.addRow(
-            {"256 KiB scratch",
-             "alloc churn",
-             bench::fmt(tPooled * 1e9, 0),
-             bench::fmt(speedup, 2)});
-        report.beginRecord();
-        report.str("acc", "alloc_churn");
+        recordSpeedup(
+            "256 KiB scratch",
+            "alloc churn",
+            "alloc_churn",
+            1e9 / static_cast<double>(churnStreams * perStream),
+            "ns_per_iteration_direct_alloc",
+            "ns_per_iteration_pooled",
+            ratio);
         report.num("streams", churnStreams);
         report.num("grid_blocks", static_cast<std::size_t>(blocks));
         report.num("scratch_bytes", elems * sizeof(double));
-        report.num("ns_per_iteration_direct_alloc", tDirect * 1e9);
-        report.num("ns_per_iteration_pooled", tPooled * 1e9);
-        report.num("speedup", speedup);
-        report.num("speedup_best_pair", bestRatio);
+        report.num("speedup_best_pair", 1.0 / ratio.min);
+        report.ratio("pooled_over_direct", ratio);
         // ISSUE 4 acceptance gate: stream-ordered pooled allocation >= 2x
-        // the per-call allocate/launch/sync/free pattern. Gated on the
-        // best interleaved pair (the reported median straddled 2.0 run
-        // to run on box noise alone).
-        gates.atLeast("alloc_churn_best_pair", bestRatio, 2.0);
+        // the per-call allocate/launch/sync/free pattern, gated on the
+        // best interleaved pair.
+        gates.atLeast("alloc_churn_best_pair", 1.0 / ratio.min, 2.0);
     }
 
     // Kernel-service scenario (DESIGN.md §6): N client threads submit M
@@ -847,7 +726,7 @@ auto main() -> int
     {
         constexpr std::size_t clients = 4;
         auto const perClient = bench::fullSweep() ? std::size_t{1200} : std::size_t{300};
-        auto const totalRequests = static_cast<double>(clients * perClient);
+        auto const perRequest = 1e9 / static_cast<double>(clients * perClient);
         constexpr std::size_t smallElems = 8;
         constexpr std::size_t largeElems = 2048;
 
@@ -859,7 +738,7 @@ auto main() -> int
         // One payload per (client, request slot): requests are in flight
         // concurrently, so they must not share storage.
         std::vector<std::vector<ServePayload>> payloads(clients, std::vector<ServePayload>(perClient));
-        auto const resetPayloads = [&]
+        auto const resetPayloads = [&](bench::Side = bench::Side::a)
         {
             for(std::size_t c = 0; c < clients; ++c)
                 for(std::size_t r = 0; r < perClient; ++r)
@@ -878,123 +757,77 @@ auto main() -> int
         };
 
         // ---- naive one-stream-per-request dispatch
-        resetPayloads();
         auto const dev = dev::PltfCpu::getDevByIdx(0);
-        auto const tNaive = bench::timeBestOf(
-                                bench::defaultReps(),
-                                [&]
-                                {
-                                    std::vector<std::jthread> threads;
-                                    threads.reserve(clients);
-                                    for(std::size_t c = 0; c < clients; ++c)
-                                        threads.emplace_back(
-                                            [&, c]
-                                            {
-                                                for(std::size_t r = 0; r < perClient; ++r)
-                                                {
-                                                    stream::StreamCpuAsync s(dev);
-                                                    s.push([&p = payloads[c][r], &work] { work(p); });
-                                                    s.wait();
-                                                }
-                                            });
-                                })
-                            / totalRequests;
+        auto const runNaive = [&]
+        {
+            onThreads(
+                clients,
+                [&](std::size_t c)
+                {
+                    for(std::size_t r = 0; r < perClient; ++r)
+                    {
+                        stream::StreamCpuAsync s(dev);
+                        s.push([&p = payloads[c][r], &work] { work(p); });
+                        s.wait();
+                    }
+                });
+        };
 
-        // ---- batching service over a persistent worker fleet
-        serve::ServiceOptions options;
-        options.cpuWorkers = std::max<std::size_t>(2, std::min<std::size_t>(4, workers));
-        options.queueCapacity = 4096;
-        serve::Service service(std::move(options));
-        serve::TemplateDesc tmpl;
-        tmpl.name = "mixed";
-        tmpl.maxBatch = 32;
-        tmpl.body = [&work](serve::RequestItem const& item) { work(*static_cast<ServePayload*>(item.payload)); };
-        auto const tmplId = service.registerTemplate(std::move(tmpl));
+        // ---- batching service over a persistent worker fleet. The
+        // resilient twin has the resilience machinery armed — supervision
+        // thread alive, shed watermark set — but otherwise identical
+        // requests.
+        auto const serviceOptions = [&](bool resilient)
+        {
+            serve::ServiceOptions options;
+            options.cpuWorkers = std::max<std::size_t>(2, std::min<std::size_t>(4, workers));
+            options.queueCapacity = 4096;
+            if(resilient)
+            {
+                options.stallTimeout = std::chrono::seconds{10};
+                options.shedWatermark = 4096;
+            }
+            return options;
+        };
+        auto const mixedTemplate = [&](char const* name)
+        {
+            serve::TemplateDesc tmpl;
+            tmpl.name = name;
+            tmpl.maxBatch = 32;
+            tmpl.body = [&work](serve::RequestItem const& item) { work(*static_cast<ServePayload*>(item.payload)); };
+            return tmpl;
+        };
+        serve::Service service(serviceOptions(false));
+        serve::Service resilientService(serviceOptions(true));
+        auto const tmplId = service.registerTemplate(mixedTemplate("mixed"));
+        auto const resilientId = resilientService.registerTemplate(mixedTemplate("mixed-resilient"));
 
-        resetPayloads();
+        // The one client loop: \returns a run in which a thread per
+        // client submits its requests through `submit(tenant, client,
+        // slot)`, then waits for every future.
         std::vector<std::vector<serve::Future>> futures(clients, std::vector<serve::Future>(perClient));
-        auto const tService = bench::timeBestOf(
-                                  bench::defaultReps(),
-                                  [&]
-                                  {
-                                      std::vector<std::jthread> threads;
-                                      threads.reserve(clients);
-                                      for(std::size_t c = 0; c < clients; ++c)
-                                          threads.emplace_back(
-                                              [&, c]
-                                              {
-                                                  auto const tenant = "client-" + std::to_string(c);
-                                                  for(std::size_t r = 0; r < perClient; ++r)
-                                                      futures[c][r] = service.submitFor(
-                                                          tmplId,
-                                                          tenant,
-                                                          &payloads[c][r],
-                                                          std::chrono::seconds{60});
-                                                  for(auto const& f : futures[c])
-                                                      f.wait();
-                                              });
-                                  })
-                              / totalRequests;
-
-        auto const speedup = tNaive / tService;
-        auto const stats = service.stats();
-
-        // ---- resilience overhead (ISSUE 6 gate): the same traffic
-        // through a service with the resilience machinery armed —
-        // supervision thread alive, shed watermark set — but otherwise
-        // identical requests. That isolates what the LAYER costs the
-        // PR 5 hot path (shed check, claim handshake, incarnation
-        // acquire-load); requests that opt into a deadline + CancelToken
-        // pay a separate, reported-but-ungated feature cost below.
-        // Compared pairwise in-process against the plain path (absolute
-        // ns moves ~10% run to run on a shared box; the RATIO of
-        // interleaved measurements is what is stable), taking the min of
-        // the ratios so one noisy pairing cannot fail the gate the code
-        // does not deserve.
-        serve::ServiceOptions resilientOptions;
-        resilientOptions.cpuWorkers = std::max<std::size_t>(2, std::min<std::size_t>(4, workers));
-        resilientOptions.queueCapacity = 4096;
-        resilientOptions.stallTimeout = std::chrono::seconds{10};
-        resilientOptions.shedWatermark = 4096;
-        serve::Service resilientService(std::move(resilientOptions));
-        serve::TemplateDesc resilientTmpl;
-        resilientTmpl.name = "mixed-resilient";
-        resilientTmpl.maxBatch = 32;
-        resilientTmpl.body = [&work](serve::RequestItem const& item) { work(*static_cast<ServePayload*>(item.payload)); };
-        auto const resilientId = resilientService.registerTemplate(std::move(resilientTmpl));
-
-        auto const runPlain = [&]
+        auto const serveClients = [&](auto submit)
         {
-            std::vector<std::jthread> threads;
-            threads.reserve(clients);
-            for(std::size_t c = 0; c < clients; ++c)
-                threads.emplace_back(
-                    [&, c]
+            return [&, submit]
+            {
+                onThreads(
+                    clients,
+                    [&](std::size_t c)
                     {
                         auto const tenant = "client-" + std::to_string(c);
                         for(std::size_t r = 0; r < perClient; ++r)
-                            futures[c][r]
-                                = service.submitFor(tmplId, tenant, &payloads[c][r], std::chrono::seconds{60});
+                            futures[c][r] = submit(tenant, c, r);
                         for(auto const& f : futures[c])
                             f.wait();
                     });
+            };
         };
-        auto const runResilient = [&]
-        {
-            std::vector<std::jthread> threads;
-            threads.reserve(clients);
-            for(std::size_t c = 0; c < clients; ++c)
-                threads.emplace_back(
-                    [&, c]
-                    {
-                        auto const tenant = "client-" + std::to_string(c);
-                        for(std::size_t r = 0; r < perClient; ++r)
-                            futures[c][r] = resilientService
-                                                .submitFor(resilientId, tenant, &payloads[c][r], std::chrono::seconds{60});
-                        for(auto const& f : futures[c])
-                            f.wait();
-                    });
-        };
+        auto const runPlain = serveClients(
+            [&](std::string const& tenant, std::size_t c, std::size_t r)
+            { return service.submitFor(tmplId, tenant, &payloads[c][r], std::chrono::seconds{60}); });
+        auto const runResilient = serveClients(
+            [&](std::string const& tenant, std::size_t c, std::size_t r)
+            { return resilientService.submitFor(resilientId, tenant, &payloads[c][r], std::chrono::seconds{60}); });
         // Tokens are created OUTSIDE the timed region: allocating a
         // token is the client's one-time setup cost, not part of the
         // per-request deadline/cancel feature price measured here.
@@ -1002,67 +835,43 @@ auto main() -> int
         clientTokens.reserve(clients);
         for(std::size_t c = 0; c < clients; ++c)
             clientTokens.push_back(serve::CancelToken::make());
-        auto const runDeadline = [&]
-        {
-            auto const deadline = std::chrono::steady_clock::now() + std::chrono::hours{1};
-            std::vector<std::jthread> threads;
-            threads.reserve(clients);
-            for(std::size_t c = 0; c < clients; ++c)
-                threads.emplace_back(
-                    [&, c, deadline]
-                    {
-                        auto const tenant = "client-" + std::to_string(c);
-                        for(std::size_t r = 0; r < perClient; ++r)
-                        {
-                            serve::Request request;
-                            request.tmpl = resilientId;
-                            request.tenant = tenant;
-                            request.payload = &payloads[c][r];
-                            request.deadline = deadline;
-                            request.cancel = clientTokens[c];
-                            futures[c][r] = resilientService.submitFor(request, std::chrono::seconds{60});
-                        }
-                        for(auto const& f : futures[c])
-                            f.wait();
-                    });
-        };
-        // Each paired gate isolates ONE variable. In ALPAKA_REPRO_TRACE
-        // builds the span rings drift between states mid-measurement
-        // (first-lap page faults, then the cheaper full-ring drop path
-        // once no collector drains), which contaminates a pairing whose
-        // variable is the resilience layer — so recording is runtime-off
-        // for these pairs; the tracing pairing below prices recording
-        // itself, alone.
+        auto const farDeadline = std::chrono::steady_clock::now() + std::chrono::hours{1};
+        auto const runDeadline = serveClients(
+            [&](std::string const& tenant, std::size_t c, std::size_t r)
+            {
+                serve::Request request;
+                request.tmpl = resilientId;
+                request.tenant = tenant;
+                request.payload = &payloads[c][r];
+                request.deadline = farDeadline;
+                request.cancel = clientTokens[c];
+                return resilientService.submitFor(request, std::chrono::seconds{60});
+            });
+
+        auto const serveRatio = bench::paired(1, runNaive, runPlain, bench::defaultReps(), resetPayloads);
+        auto const speedup = 1.0 / serveRatio.median;
+        auto const stats = service.stats();
+
+        // Each budget pair below isolates ONE variable. In
+        // ALPAKA_REPRO_TRACE builds the span rings drift between states
+        // mid-measurement (first-lap page faults, then the cheaper
+        // full-ring drop path once no collector drains), which
+        // contaminates a pairing whose variable is not recording — so
+        // recording is runtime-off for those pairs; the tracing pairing
+        // prices recording itself, alone. Every budget gate reads the MIN
+        // pairwise ratio of three — one-sided by design: it may only
+        // excuse noise, never hide a regression present across every
+        // pairing. The REPORTED number is the median pairwise ratio.
         trace::setEnabled(false);
-        std::vector<double> pairRatios;
-        double tResilient = std::numeric_limits<double>::infinity();
-        for(int pair = 0; pair < 3; ++pair)
-        {
-            resetPayloads();
-            auto const tp = bench::timeBestOf(bench::defaultReps(), runPlain) / totalRequests;
-            resetPayloads();
-            auto const tr = bench::timeBestOf(bench::defaultReps(), runResilient) / totalRequests;
-            pairRatios.push_back(tr / tp);
-            tResilient = std::min(tResilient, tr);
-        }
-        std::sort(pairRatios.begin(), pairRatios.end());
-        // Box load drifts between runs, so only interleaved pairs are
-        // comparable. The GATE takes the min pairwise ratio — one-sided
-        // by design; it may only excuse noise, never hide a regression
-        // present across every pairing. The REPORTED number is the
-        // median pairwise ratio, the representative statistic.
-        auto const overheadRatio = pairRatios.front();
-        auto const overheadPct = (pairRatios[pairRatios.size() / 2] - 1.0) * 100.0;
+        // ---- resilience overhead gate: what the armed LAYER costs the
+        // plain serving hot path (shed check, claim handshake,
+        // incarnation acquire-load).
+        auto const resilience = bench::paired(3, runPlain, runResilient, bench::defaultReps(), resetPayloads);
         // Feature price of a request that carries a deadline + token
         // (clock reads at admission/dispatch, token refcount + checks):
         // reported for visibility, not gated — it only taxes requests
-        // that opt in. Paired with its own fresh plain run, same drift
-        // argument as above.
-        resetPayloads();
-        auto const tDeadlinePlain = bench::timeBestOf(bench::defaultReps(), runPlain) / totalRequests;
-        resetPayloads();
-        auto const tDeadline = bench::timeBestOf(bench::defaultReps(), runDeadline) / totalRequests;
-        auto const deadlinePct = (tDeadline / tDeadlinePlain - 1.0) * 100.0;
+        // that opt in.
+        auto const deadline = bench::paired(1, runPlain, runDeadline, bench::defaultReps(), resetPayloads);
         trace::setEnabled(true);
 
         // ---- tracing overhead (ISSUE 9 gate): the same traffic with
@@ -1072,34 +881,34 @@ auto main() -> int
         // "always-on" flight recorder adds over the runtime-gated sites
         // — the gate the acceptance names. (An OFF build's hot path is
         // bit-for-bit free of trace code — invariant 23 — so it reports
-        // 0 and trace_compiled = 0.) Same interleaved min-of-ratios
-        // discipline as the resilience gate above.
-        double traceOverheadRatio = 1.0;
-        double traceOverheadPct = 0.0;
-        double tTraced = tService;
+        // 0 and trace_compiled = 0.)
+        bench::Paired tracing{
+            .median = 1.0,
+            .min = 1.0,
+            .max = 1.0,
+            .aSeconds = serveRatio.bSeconds,
+            .bSeconds = serveRatio.bSeconds};
         if(trace::compiledIn())
         {
-            std::vector<double> tracePairs;
-            tTraced = std::numeric_limits<double>::infinity();
             std::vector<trace::Event> sink;
             sink.reserve(4 * trace::ringCapacity);
-            for(int pair = 0; pair < 3; ++pair)
-            {
-                trace::setEnabled(false);
-                resetPayloads();
-                auto const tOff = bench::timeBestOf(bench::defaultReps(), runPlain) / totalRequests;
-                trace::setEnabled(true);
-                resetPayloads();
-                auto const tOn = bench::timeBestOf(bench::defaultReps(), runPlain) / totalRequests;
-                tracePairs.push_back(tOn / tOff);
-                tTraced = std::min(tTraced, tOn);
-                // Keep rings off the would-drop slow path between pairs.
-                sink.clear();
-                trace::drain(sink);
-            }
-            std::sort(tracePairs.begin(), tracePairs.end());
-            traceOverheadRatio = tracePairs.front();
-            traceOverheadPct = (tracePairs[tracePairs.size() / 2] - 1.0) * 100.0;
+            tracing = bench::paired(
+                3,
+                runPlain,
+                runPlain,
+                bench::defaultReps(),
+                [&](bench::Side side)
+                {
+                    // Keep rings off the would-drop slow path between pairs.
+                    if(side == bench::Side::a)
+                    {
+                        sink.clear();
+                        trace::drain(sink);
+                    }
+                    trace::setEnabled(side == bench::Side::b);
+                    resetPayloads();
+                });
+            trace::setEnabled(true);
         }
 
         // ---- admin-plane overhead (ISSUE 10 gate): the same traffic
@@ -1117,99 +926,82 @@ auto main() -> int
         // what the best-of/min-of-pairs discipline exists to excuse.
         // Recording runtime-off — same isolation argument as the
         // resilience pairs.
-        trace::setEnabled(false);
-        double adminOverheadRatio = 1.0;
-        double adminOverheadPct = 0.0;
-        double tAdmined = std::numeric_limits<double>::infinity();
         std::atomic<std::uint64_t> scrapes{0};
         std::atomic<std::uint64_t> scrapedBytes{0};
-        {
-            // A measured region here is ~1ms — shorter than the scrape
-            // period — so any single rep either dodges the scraper's
-            // wake entirely or eats one whole scrape. Extra reps give
-            // best-of enough phase diversity to find the dodge; a real
-            // per-request cost would survive every rep regardless.
-            auto const adminReps = std::max<std::size_t>(bench::defaultReps() * 4, 12);
-            std::vector<double> adminPairs;
-            for(int pair = 0; pair < 3; ++pair)
+        std::jthread scraper;
+        // A measured region here is ~1ms — shorter than the scrape
+        // period — so any single rep either dodges the scraper's wake
+        // entirely or eats one whole scrape. Extra reps give best-of
+        // enough phase diversity to find the dodge; a real per-request
+        // cost would survive every rep regardless.
+        auto const adminReps = std::max<std::size_t>(bench::defaultReps() * 4, 12);
+        trace::setEnabled(false);
+        auto const admin = bench::paired(
+            3,
+            runPlain,
+            runPlain,
+            adminReps,
+            [&](bench::Side side)
             {
-                resetPayloads();
-                auto const tQuiet = bench::timeBestOf(adminReps, runPlain) / totalRequests;
-                std::atomic<bool> scrapeStop{false};
-                std::thread scraper(
-                    [&]
-                    {
-                        obs::HealthModel model;
-                        while(!scrapeStop.load(std::memory_order_acquire))
+                scraper = {}; // stops and joins the previous B side's scraper
+                if(side == bench::Side::b)
+                    scraper = std::jthread(
+                        [&](std::stop_token stop)
                         {
-                            obs::Registry reg;
-                            obs::collect(reg, service.stats(), "shard=0");
-                            // The atomic sinks keep the exposition and
-                            // the evaluation from being optimized away.
-                            scrapedBytes += reg.exposition().size();
-                            scrapedBytes += model.evaluate(std::move(reg), std::chrono::steady_clock::now())
-                                                .text()
-                                                .size();
-                            ++scrapes;
-                            std::this_thread::sleep_for(std::chrono::milliseconds{2});
-                        }
-                    });
+                            obs::HealthModel model;
+                            while(!stop.stop_requested())
+                            {
+                                obs::Registry reg;
+                                obs::collect(reg, service.stats(), "shard=0");
+                                // The atomic sinks keep the exposition and
+                                // the evaluation from being optimized away.
+                                scrapedBytes += reg.exposition().size();
+                                scrapedBytes += model.evaluate(std::move(reg), std::chrono::steady_clock::now())
+                                                    .text()
+                                                    .size();
+                                ++scrapes;
+                                std::this_thread::sleep_for(std::chrono::milliseconds{2});
+                            }
+                        });
                 resetPayloads();
-                auto const tScraped = bench::timeBestOf(adminReps, runPlain) / totalRequests;
-                scrapeStop.store(true, std::memory_order_release);
-                scraper.join();
-                adminPairs.push_back(tScraped / tQuiet);
-                tAdmined = std::min(tAdmined, tScraped);
-            }
-            std::sort(adminPairs.begin(), adminPairs.end());
-            adminOverheadRatio = adminPairs.front();
-            adminOverheadPct = (adminPairs[adminPairs.size() / 2] - 1.0) * 100.0;
-        }
+            });
+        scraper = {};
         trace::setEnabled(true);
 
-        table.addRow(
-            {std::to_string(clients) + " clients",
-             "serve",
-             bench::fmt(tService * 1e9, 0),
-             bench::fmt(speedup, 2)});
-        table.addRow(
-            {std::to_string(clients) + " clients",
-             "serve+resil",
-             bench::fmt(tResilient * 1e9, 0),
-             bench::fmt(1.0 / pairRatios[pairRatios.size() / 2], 2)});
-        table.addRow(
-            {std::to_string(clients) + " clients",
-             "serve+deadline",
-             bench::fmt(tDeadline * 1e9, 0),
-             bench::fmt(tDeadlinePlain / tDeadline, 2)});
-        if(trace::compiledIn())
+        auto const addServeRow = [&](char const* variant, double seconds, double speedupVsBaseline)
+        {
             table.addRow(
                 {std::to_string(clients) + " clients",
-                 "serve+trace",
-                 bench::fmt(tTraced * 1e9, 0),
-                 bench::fmt(1.0 / (1.0 + traceOverheadPct / 100.0), 2)});
-        table.addRow(
-            {std::to_string(clients) + " clients",
-             "serve+admin",
-             bench::fmt(tAdmined * 1e9, 0),
-             bench::fmt(1.0 / (1.0 + adminOverheadPct / 100.0), 2)});
+                 variant,
+                 bench::fmt(seconds * perRequest, 0),
+                 bench::fmt(speedupVsBaseline, 2)});
+        };
+        addServeRow("serve", serveRatio.bSeconds, speedup);
+        addServeRow("serve+resil", resilience.bSeconds, 1.0 / resilience.median);
+        addServeRow("serve+deadline", deadline.bSeconds, 1.0 / deadline.median);
+        if(trace::compiledIn())
+            addServeRow("serve+trace", tracing.bSeconds, 1.0 / tracing.median);
+        addServeRow("serve+admin", admin.bSeconds, 1.0 / admin.median);
         report.beginRecord();
         report.str("acc", "serve_throughput");
         report.num("clients", clients);
         report.num("requests_per_client", perClient);
         report.num("small_elems", smallElems);
         report.num("large_elems", largeElems);
-        report.num("ns_per_request_stream_per_request", tNaive * 1e9);
-        report.num("ns_per_request_service", tService * 1e9);
-        report.num("ns_per_request_service_resilient", tResilient * 1e9);
-        report.num("resilience_overhead_pct", overheadPct);
-        report.num("ns_per_request_service_deadline", tDeadline * 1e9);
-        report.num("deadline_request_cost_pct", deadlinePct);
-        report.num("ns_per_request_service_traced", tTraced * 1e9);
-        report.num("trace_overhead_pct", traceOverheadPct);
+        report.num("ns_per_request_stream_per_request", serveRatio.aSeconds * perRequest);
+        report.num("ns_per_request_service", serveRatio.bSeconds * perRequest);
+        report.num("ns_per_request_service_resilient", resilience.bSeconds * perRequest);
+        report.num("resilience_overhead_pct", (resilience.median - 1.0) * 100.0);
+        report.ratio("resilient_over_plain", resilience);
+        report.num("ns_per_request_service_deadline", deadline.bSeconds * perRequest);
+        report.num("deadline_request_cost_pct", (deadline.median - 1.0) * 100.0);
+        report.num("ns_per_request_service_traced", tracing.bSeconds * perRequest);
+        report.num("trace_overhead_pct", (tracing.median - 1.0) * 100.0);
+        report.ratio("traced_over_untraced", tracing);
         report.num("trace_compiled", trace::compiledIn() ? 1.0 : 0.0);
-        report.num("ns_per_request_service_admin", tAdmined * 1e9);
-        report.num("admin_overhead_pct", adminOverheadPct);
+        report.num("ns_per_request_service_admin", admin.bSeconds * perRequest);
+        report.num("admin_overhead_pct", (admin.median - 1.0) * 100.0);
+        report.ratio("scraped_over_quiet", admin);
         report.num("admin_scrapes", static_cast<std::size_t>(scrapes.load()));
         report.num("admin_scraped_bytes", static_cast<std::size_t>(scrapedBytes.load()));
         report.num("service_batches", static_cast<std::size_t>(stats.batches));
@@ -1219,15 +1011,14 @@ auto main() -> int
         gates.atLeast("serve_throughput", speedup, 2.0);
         // ISSUE 6 acceptance gate: the armed resilience layer costs the
         // serving hot path <= 2%.
-        gates.atMost("serve_resilience_overhead", overheadRatio, 1.02);
+        gates.atMost("serve_resilience_overhead", resilience.min, 1.02);
         // ISSUE 9 acceptance gate: always-on tracing prices the serving
-        // hot path <= 2% over runtime-disabled recording (min pairwise
-        // ratio, same one-sidedness argument as the resilience gate).
-        gates.atMost("serve_trace_overhead", traceOverheadRatio, 1.02);
+        // hot path <= 2% over runtime-disabled recording.
+        gates.atMost("serve_trace_overhead", tracing.min, 1.02);
         // ISSUE 10 acceptance gate: a hot ops scraper (registry snapshot
-        // + exposition + health tick every ~500us) costs the serving hot
-        // path <= 2% (min pairwise ratio, one-sided as above).
-        gates.atMost("serve_admin_overhead", adminOverheadRatio, 1.02);
+        // + exposition + health tick every ~2ms) costs the serving hot
+        // path <= 2%.
+        gates.atMost("serve_admin_overhead", admin.min, 1.02);
 
         // The unified registry's view of the traffic just priced rides
         // along in the report (DESIGN.md §10.4): the queue-wait
@@ -1254,306 +1045,15 @@ auto main() -> int
         report.num("registry_samples", reg.samples().size());
     }
 
-    // Contended-submit scenario (ISSUE 7, DESIGN.md §8.6): the admission
-    // path itself under producer contention — K clients hammer submitFor
-    // with a no-op template, so per-request time is dominated by the
-    // lock-free reservation + MPMC ring push + publish, not the body.
-    // Reported (not gated): the number to watch across PRs is
-    // ns_per_request_contended_submit.
-    {
-        constexpr std::size_t submitters = 4;
-        auto const perSubmitter = bench::fullSweep() ? std::size_t{4000} : std::size_t{1000};
-        auto const total = static_cast<double>(submitters * perSubmitter);
-
-        serve::ServiceOptions options;
-        options.cpuWorkers = 2;
-        options.queueCapacity = 4096;
-        serve::Service service(std::move(options));
-        serve::TemplateDesc tmpl;
-        tmpl.name = "noop";
-        tmpl.maxBatch = 64;
-        tmpl.body = [](serve::RequestItem const&) {};
-        auto const tmplId = service.registerTemplate(std::move(tmpl));
-
-        std::vector<int> payloads(submitters);
-        std::vector<std::vector<serve::Future>> futures(
-            submitters,
-            std::vector<serve::Future>(perSubmitter));
-        auto const tSubmit = bench::timeBestOf(
-                                 bench::defaultReps(),
-                                 [&]
-                                 {
-                                     std::vector<std::jthread> threads;
-                                     threads.reserve(submitters);
-                                     for(std::size_t c = 0; c < submitters; ++c)
-                                         threads.emplace_back(
-                                             [&, c]
-                                             {
-                                                 auto const tenant = "sub-" + std::to_string(c);
-                                                 for(std::size_t r = 0; r < perSubmitter; ++r)
-                                                     futures[c][r] = service.submitFor(
-                                                         tmplId,
-                                                         tenant,
-                                                         &payloads[c],
-                                                         std::chrono::seconds{60});
-                                                 for(auto const& f : futures[c])
-                                                     f.wait();
-                                             });
-                                 })
-                             / total;
-
-        table.addRow(
-            {std::to_string(submitters) + " submitters",
-             "contended-submit",
-             bench::fmt(tSubmit * 1e9, 0),
-             bench::fmt(1.0, 2)});
-        report.beginRecord();
-        report.str("acc", "contended_submit");
-        report.num("submitters", submitters);
-        report.num("requests_per_submitter", perSubmitter);
-        report.num("ns_per_request_contended_submit", tSubmit * 1e9);
-        report.num("contended_submit_requests_per_sec", 1.0 / tSubmit);
-    }
-
-    // net_roundtrip scenario (ISSUE 8): what the wire path COSTS — the
-    // same requests once submitted directly into the Router (the in-
-    // process baseline) and once through the full front door (frame
-    // encode, crc, session state machine, zero-copy landing, response
-    // frame). Reported, not gated: the number to watch across PRs is
-    // front_door_overhead_pct.
-    {
-        struct NetPayload
-        {
-            double in = 0.0;
-            double out = 0.0;
-        };
-        net::RouterOptions routerOptions;
-        routerOptions.shards = 2;
-        routerOptions.shard.cpuWorkers = 2;
-        routerOptions.shard.queueCapacity = 4096;
-        net::Router router(routerOptions);
-        serve::TemplateDesc tmpl;
-        tmpl.name = "scale";
-        tmpl.maxBatch = 32;
-        tmpl.body = [](serve::RequestItem const& item)
-        {
-            auto* const p = static_cast<NetPayload*>(item.payload);
-            p->out = p->in * 2.0 + 1.0;
-        };
-        auto const tmplId = router.registerTemplate(std::move(tmpl));
-
-        auto const requests = bench::fullSweep() ? std::size_t{100'000} : std::size_t{20'000};
-        constexpr std::size_t window = net::DefaultCfg::window;
-
-        // ---- baseline: direct Router::submit, same window-of-W
-        // pipelining discipline the client uses on the wire.
-        std::vector<NetPayload> direct(window);
-        std::array<serve::Future, window> win;
-        auto const tDirect = bench::timeBestOf(
-                                 1,
-                                 [&]
-                                 {
-                                     for(std::size_t r = 0; r < requests; r += window)
-                                     {
-                                         auto const n = std::min(window, requests - r);
-                                         for(std::size_t i = 0; i < n; ++i)
-                                         {
-                                             direct[i].in = static_cast<double>(r + i);
-                                             win[i] = router.submit(
-                                                 serve::Request{tmplId, "direct", &direct[i], std::nullopt, {}});
-                                         }
-                                         for(std::size_t i = 0; i < n; ++i)
-                                             win[i].wait();
-                                     }
-                                 })
-                             / static_cast<double>(requests);
-
-        // ---- the same traffic through the front door over the
-        // in-process pipe transport, one polling loop driving both ends.
-        net::FrontDoor<> door(router);
-        auto [serverEnd, clientEnd] = net::makePipePair();
-        door.accept(std::move(serverEnd));
-        net::Client<> client(std::move(clientEnd));
-        client.hello("wire");
-        while(!client.ready())
-        {
-            door.poll(std::chrono::steady_clock::now());
-            client.poll([](net::Client<>::Response const&) {});
-        }
-
-        NetPayload wirePayload;
-        std::size_t wireBad = 0;
-        auto const tWire = bench::timeBestOf(
-                               1,
-                               [&]
-                               {
-                                   std::size_t sent = 0;
-                                   std::size_t got = 0;
-                                   while(got < requests)
-                                   {
-                                       while(sent < requests)
-                                       {
-                                           wirePayload.in = static_cast<double>(sent);
-                                           if(client.trySubmit(tmplId, reinterpret_cast<std::byte const*>(&wirePayload), sizeof(NetPayload)) == 0)
-                                               break;
-                                           ++sent;
-                                       }
-                                       bool progress = door.poll(std::chrono::steady_clock::now());
-                                       progress |= client.poll(
-                                           [&](net::Client<>::Response const& r)
-                                           {
-                                               ++got;
-                                               if(r.status != net::Status::Ok || r.payloadLen != sizeof(NetPayload))
-                                                   ++wireBad;
-                                           });
-                                       // A poll tick with nothing to move means the
-                                       // shard workers have the batch: give them the
-                                       // core instead of starving them with busy polls
-                                       // (this box may be single-core).
-                                       if(!progress)
-                                           std::this_thread::yield();
-                                   }
-                               })
-                           / static_cast<double>(requests);
-        auto const overheadPct = (tWire / tDirect - 1.0) * 100.0;
-        auto const doorStats = door.stats();
-
-        table.addRow({"1 conn", "net-direct", bench::fmt(tDirect * 1e9, 0), bench::fmt(1.0, 2)});
-        table.addRow({"1 conn", "net-roundtrip", bench::fmt(tWire * 1e9, 0), bench::fmt(tDirect / tWire, 2)});
-        report.beginRecord();
-        report.str("acc", "net_roundtrip");
-        report.num("requests", requests);
-        report.num("ns_per_request_direct_submit", tDirect * 1e9);
-        report.num("ns_per_request_front_door", tWire * 1e9);
-        report.num("front_door_overhead_pct", overheadPct);
-        report.num("front_door_frames_in", static_cast<std::size_t>(doorStats.framesIn));
-        report.num("front_door_rx_stalls", static_cast<std::size_t>(doorStats.rxStalls));
-        gates.equal("net_roundtrip_bad_responses", wireBad, std::size_t{0});
-    }
-
-    // router_sharding scenario (ISSUE 8 acceptance): >= 1M requests
-    // through the consistent-hash router across >= 2 shards, every
-    // result verified, fleet latency quantiles from the bucket-merged
-    // per-shard histograms.
-    {
-        struct NetPayload
-        {
-            double in = 0.0;
-            double out = 0.0;
-        };
-        constexpr std::size_t totalRequests = 1'048'576;
-        constexpr std::size_t submitters = 4;
-        constexpr std::size_t perSubmitter = totalRequests / submitters;
-
-        net::RouterOptions routerOptions;
-        routerOptions.shards = 2;
-        routerOptions.shard.cpuWorkers = 2;
-        routerOptions.shard.queueCapacity = 4096;
-        net::Router router(routerOptions);
-        serve::TemplateDesc tmpl;
-        tmpl.name = "scale";
-        tmpl.maxBatch = 64;
-        tmpl.body = [](serve::RequestItem const& item)
-        {
-            auto* const p = static_cast<NetPayload*>(item.payload);
-            p->out = p->in * 2.0 + 1.0;
-        };
-        auto const tmplId = router.registerTemplate(std::move(tmpl));
-
-        std::vector<NetPayload> payloads(totalRequests);
-        auto const tRouted = bench::timeBestOf(
-                                 1,
-                                 [&]
-                                 {
-                                     {
-                                         std::vector<std::jthread> threads;
-                                         threads.reserve(submitters);
-                                         for(std::size_t c = 0; c < submitters; ++c)
-                                             threads.emplace_back(
-                                                 [&, c]
-                                                 {
-                                                     // 8 tenants per submitter so both shards see
-                                                     // traffic whatever the ring says.
-                                                     for(std::size_t r = 0; r < perSubmitter; ++r)
-                                                     {
-                                                         auto const idx = c * perSubmitter + r;
-                                                         payloads[idx].in = static_cast<double>(idx);
-                                                         auto const tenant = "tenant-" + std::to_string(c * 8 + r % 8);
-                                                         for(;;)
-                                                         {
-                                                             try
-                                                             {
-                                                                 router.submit(serve::Request{
-                                                                     tmplId,
-                                                                     tenant,
-                                                                     &payloads[idx],
-                                                                     std::nullopt,
-                                                                     {}});
-                                                                 break;
-                                                             }
-                                                             catch(net::ShardBusyError const&)
-                                                             {
-                                                                 std::this_thread::yield();
-                                                             }
-                                                         }
-                                                     }
-                                                 });
-                                     }
-                                     router.drain();
-                                 })
-                             / static_cast<double>(totalRequests);
-
-        std::size_t mismatches = 0;
-        for(std::size_t i = 0; i < totalRequests; ++i)
-            if(payloads[i].out != payloads[i].in * 2.0 + 1.0)
-                ++mismatches;
-        auto const routed = router.stats();
-        std::size_t shardsServing = 0;
-        for(auto const& shard : routed.perShard)
-            shardsServing += shard.completed > 0 ? 1 : 0;
-
-        table.addRow(
-            {std::to_string(submitters) + " submitters",
-             "router-sharding",
-             bench::fmt(tRouted * 1e9, 0),
-             bench::fmt(1.0, 2)});
-        report.beginRecord();
-        report.str("acc", "router_sharding");
-        report.num("requests", totalRequests);
-        report.num("shards", routerOptions.shards);
-        report.num("shards_serving", shardsServing);
-        report.num("verified_mismatches", mismatches);
-        report.num("ns_per_request_routed", tRouted * 1e9);
-        report.num("routed_requests_per_sec", 1.0 / tRouted);
-        report.num("latency_p50_us", routed.latency.p50Us);
-        report.num("latency_p99_us", routed.latency.p99Us);
-        report.num("latency_max_us", routed.latency.maxUs);
-        // ISSUE 8 acceptance gate: >= 1M requests, >= 2 shards actually
-        // serving, every payload verified.
-        gates.atLeast("router_completed", routed.completed, std::uint64_t{totalRequests});
-        gates.atLeast("router_shards_serving", shardsServing, std::size_t{2});
-        gates.equal("router_mismatches", mismatches, std::size_t{0});
-    }
-
     table.print(std::cout);
     table.printCsv(std::cout);
-
-    try
-    {
-        char const* const outDir = std::getenv("BENCH_OUT_DIR");
-        auto const path = report.write(outDir != nullptr ? outDir : "");
-        std::cout << "\nreport: " << path << '\n';
-    }
-    catch(std::exception const& e)
-    {
-        std::cerr << "error: " << e.what() << '\n';
+    if(!bench::writeReport(report))
         return 1;
-    }
     if(gates.ok())
         std::cout << "launch-overhead gate: PASS (>= 3x vs seed on small grids, >= 2x concurrent submitters, "
                      ">= 2x graph replay vs resubmission, >= 2x pooled alloc churn, >= 2x serve throughput,\n"
-                     "                             <= 2% resilience-layer overhead on the serve hot path, "
-                     "<= 2% admin-plane scrape overhead, 1M routed requests across >= 2 shards verified)\n";
+                     "                             <= 2% resilience-layer, tracing and admin-plane overhead on "
+                     "the serve hot path)\n";
     else
         std::cout << "launch-overhead gate: FAIL (" << gates.failedNames() << ")\n";
     return gates.ok() ? 0 : 1;

@@ -15,11 +15,15 @@ BIN_DIR=${1:?usage: run_bench.sh <bench-binary-dir> [out-dir]}
 OUT_DIR=${2:-${BENCH_OUT_DIR:-$(pwd)}}
 export BENCH_OUT_DIR="$OUT_DIR"
 
-echo "== bench_launch_overhead (JSON -> $OUT_DIR/BENCH_launch_overhead.json)"
-"$BIN_DIR/bench_launch_overhead"
+# A failed gate fails the run, but only after every bench has written its
+# report, so one failure does not hide the other benches' results.
+status=0
 
-echo "== bench_fig5_zero_overhead"
-"$BIN_DIR/bench_fig5_zero_overhead"
+echo "== bench_launch_overhead (JSON -> $OUT_DIR/BENCH_launch_overhead.json)"
+"$BIN_DIR/bench_launch_overhead" || status=1
+
+echo "== bench_fig5_zero_overhead (JSON -> $OUT_DIR/BENCH_fig5.json)"
+"$BIN_DIR/bench_fig5_zero_overhead" || status=1
 
 echo "== bench_micro (launch-overhead filter)"
 "$BIN_DIR/bench_micro" \
@@ -29,3 +33,4 @@ echo "== bench_micro (launch-overhead filter)"
 
 echo "== reports in $OUT_DIR:"
 ls -1 "$OUT_DIR"/BENCH_*.json
+exit $status

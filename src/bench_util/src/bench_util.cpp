@@ -5,11 +5,23 @@
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
-#include <ostream>
-#include <sstream>
+#include <iostream>
+#include <stdexcept>
 
 namespace bench
 {
+    namespace
+    {
+        //! Quantile \p q of sorted \p s, interpolating between ranks.
+        auto quantile(std::vector<double> const& s, double q) -> double
+        {
+            auto const pos = q * static_cast<double>(s.size() - 1);
+            auto const lo = static_cast<std::size_t>(pos);
+            auto const hi = std::min(lo + 1, s.size() - 1);
+            return s[lo] + (pos - static_cast<double>(lo)) * (s[hi] - s[lo]);
+        }
+    } // namespace
+
     auto computeStats(std::vector<double> samples) -> Stats
     {
         Stats s;
@@ -18,7 +30,7 @@ namespace bench
         std::sort(samples.begin(), samples.end());
         s.min = samples.front();
         s.max = samples.back();
-        s.median = samples[samples.size() / 2];
+        s.median = quantile(samples, 0.5);
         double sum = 0;
         for(double const v : samples)
             sum += v;
@@ -28,6 +40,24 @@ namespace bench
             sq += (v - s.mean) * (v - s.mean);
         s.stddev = std::sqrt(sq / static_cast<double>(samples.size()));
         return s;
+    }
+
+    auto summarizePairs(std::vector<double> const& a, std::vector<double> const& b) -> Paired
+    {
+        std::vector<double> ratios(std::min(a.size(), b.size()));
+        if(ratios.empty())
+            return {};
+        for(std::size_t i = 0; i < ratios.size(); ++i)
+            ratios[i] = b[i] / a[i];
+        std::sort(ratios.begin(), ratios.end());
+        return {
+            quantile(ratios, 0.5),
+            quantile(ratios, 0.75) - quantile(ratios, 0.25),
+            ratios.front(),
+            ratios.back(),
+            ratios.size(),
+            computeStats(a).median,
+            computeStats(b).median};
     }
 
     auto fullSweep() -> bool
@@ -147,6 +177,15 @@ namespace bench
         records_.back().emplace_back(key, '"' + jsonEscape(value) + '"');
     }
 
+    void JsonReport::ratio(std::string const& key, Paired const& ratio)
+    {
+        num(key + "_median", ratio.median);
+        num(key + "_iqr", ratio.iqr);
+        num(key + "_min", ratio.min);
+        num(key + "_max", ratio.max);
+        num(key + "_pairs", ratio.n);
+    }
+
     void JsonReport::print(std::ostream& os) const
     {
         os << "{\n  \"benchmark\": \"" << jsonEscape(name_) << "\",\n  \"results\": [";
@@ -170,5 +209,35 @@ namespace bench
         if(!file)
             throw std::runtime_error("bench::JsonReport: cannot write " + path);
         return path;
+    }
+
+    auto writeReport(JsonReport const& report) -> bool
+    {
+        try
+        {
+            char const* const outDir = std::getenv("BENCH_OUT_DIR");
+            std::cout << "\nreport: " << report.write(outDir != nullptr ? outDir : "") << '\n';
+            return true;
+        }
+        catch(std::exception const& e)
+        {
+            std::cerr << "error: " << e.what() << '\n';
+            return false;
+        }
+    }
+
+    auto Gates::failedNames() const -> std::string
+    {
+        std::string names;
+        for(auto const& name : failed_)
+            names += (names.empty() ? "" : ", ") + name;
+        return names;
+    }
+
+    void Gates::print(std::string const& name, std::string const& comparison, bool pass)
+    {
+        std::cout << "gate " << name << ": " << comparison << (pass ? " PASS" : " FAIL") << '\n';
+        if(!pass)
+            failed_.push_back(name);
     }
 } // namespace bench

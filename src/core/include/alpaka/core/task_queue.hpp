@@ -16,12 +16,15 @@
 ///
 ///  * enqueue counts the task in a packed {epoch, pending} state word
 ///    (seq_cst) BEFORE clearing the drained flag and linking the node;
-///  * the worker, on pending hitting zero, publishes the drain under a
-///    tiny leaf mutex: set publishing, re-read the state word, and store
-///    drained=true only if no enqueue raced past the count (litmus:
+///  * the worker, after running the last counted task but BEFORE that
+///    task stops counting, publishes the drain under a tiny leaf mutex:
+///    set publishing, re-read the state word, and store drained=true
+///    only if the finished task is still the only one counted (litmus:
 ///    taskqueue/{x86,arm64}_drain_flag — the seq_cst Dekker pair between
 ///    the producer's count/flag-check and the worker's publishing-mark/
-///    state-re-read);
+///    state-re-read). Publishing before the decrement means wait(),
+///    which returns once pending reads zero, also sees the drain its
+///    last task caused;
 ///  * a producer that observes publishing or drained (seq_cst, after its
 ///    count) joins the same leaf mutex and clears the flag — so any
 ///    optimistically stored true is provably valid at the instant it is
@@ -207,15 +210,17 @@ namespace alpaka::core
             return true;
         }
 
-        //! Publication of the drained flag (worker only, pending hit 0).
-        //! Under drainMutex_ so a true stored here is validated against
-        //! the state word atomically w.r.t. every producer's clear.
+        //! Publication of the drained flag (worker only, after the task
+        //! that \p observed counts as the sole pending one has finished,
+        //! before it stops counting). Under drainMutex_ so a true stored
+        //! here is validated against the state word atomically w.r.t.
+        //! every producer's clear.
         void publishDrained(std::uint64_t observed)
         {
             std::scoped_lock lock(drainMutex_);
             publishing_.store(true, std::memory_order_seq_cst);
             auto const s = state_.load(std::memory_order_seq_cst);
-            if(pendingOf(s) == 0 && epochOf(s) == epochOf(observed))
+            if(pendingOf(s) == 1 && epochOf(s) == epochOf(observed))
             {
                 // seq before drained: freeDeferred captures seq first, so
                 // a drain landing between its two reads is never missed
@@ -249,9 +254,13 @@ namespace alpaka::core
                 }
             }
             fn = nullptr; // destroy the closure BEFORE the task stops counting
-            auto const s = state_.fetch_sub(pendingOne, std::memory_order_seq_cst) - pendingOne;
-            if(pendingOf(s) == 0)
+            // The last counted task publishes the drain while it still
+            // counts, so a wait() woken by the decrement below observes
+            // drained=true (unless a later enqueue already cleared it).
+            auto const s = state_.load(std::memory_order_seq_cst);
+            if(pendingOf(s) == 1)
                 publishDrained(s);
+            state_.fetch_sub(pendingOne, std::memory_order_seq_cst);
             state_.notify_all(); // wait()-ers park on the state word
         }
 

@@ -6,7 +6,9 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <iostream>
 #include <sstream>
+#include <string>
 #include <thread>
 
 TEST(BenchStats, BasicMoments)
@@ -17,6 +19,11 @@ TEST(BenchStats, BasicMoments)
     EXPECT_DOUBLE_EQ(s.mean, 3.0);
     EXPECT_DOUBLE_EQ(s.median, 3.0);
     EXPECT_NEAR(s.stddev, std::sqrt(2.0), 1e-12);
+}
+
+TEST(BenchStats, EvenMedianInterpolates)
+{
+    EXPECT_DOUBLE_EQ(bench::computeStats({4.0, 1.0, 3.0, 2.0}).median, 2.5);
 }
 
 TEST(BenchStats, EmptyIsZeroed)
@@ -45,6 +52,58 @@ TEST(BenchTime, BestOfTakesTheMinimum)
         });
     EXPECT_EQ(call, 3);
     EXPECT_LT(t, 0.02) << "did not pick the fastest repetition";
+}
+
+TEST(BenchPaired, SummarizesTheRatioSpread)
+{
+    auto const p = bench::summarizePairs({1.0, 2.0, 1.0, 1.0}, {1.0, 2.4, 1.1, 1.4});
+    EXPECT_EQ(p.n, 4u);
+    EXPECT_DOUBLE_EQ(p.min, 1.0);
+    EXPECT_DOUBLE_EQ(p.max, 1.4);
+    EXPECT_DOUBLE_EQ(p.median, 1.15);
+    EXPECT_NEAR(p.iqr, 1.25 - 1.075, 1e-12);
+    EXPECT_DOUBLE_EQ(p.aSeconds, 1.0);
+    EXPECT_DOUBLE_EQ(p.bSeconds, 1.25);
+}
+
+TEST(BenchPaired, EmptyIsZeroed)
+{
+    auto const p = bench::summarizePairs({}, {});
+    EXPECT_EQ(p.n, 0u);
+    EXPECT_EQ(p.median, 0.0);
+}
+
+TEST(BenchPaired, InterleavesSidesAndPreparesEachUntimed)
+{
+    std::string trace;
+    auto const p = bench::paired(
+        2,
+        [&] { trace += 'a'; },
+        [&] { trace += 'b'; },
+        3,
+        [&](bench::Side side) { trace += side == bench::Side::a ? 'A' : 'B'; });
+    EXPECT_EQ(trace, "AaaaBbbbAaaaBbbb");
+    EXPECT_EQ(p.n, 2u);
+}
+
+TEST(BenchGates, PrintEveryCheckAndNameTheFailures)
+{
+    std::ostringstream out;
+    auto* const old = std::cout.rdbuf(out.rdbuf());
+    bench::Gates gates;
+    gates.atLeast("speedup", 3.0, 2.0);
+    gates.below("error", 0.5, 0.1);
+    gates.equal("matches", true, true);
+    gates.above("geomean", 0.9, 0.9);
+    std::cout.rdbuf(old);
+    EXPECT_EQ(
+        out.str(),
+        "gate speedup: 3 >= 2 PASS\n"
+        "gate error: 0.5 < 0.1 FAIL\n"
+        "gate matches: true == true PASS\n"
+        "gate geomean: 0.9 > 0.9 FAIL\n");
+    EXPECT_FALSE(gates.ok());
+    EXPECT_EQ(gates.failedNames(), "error, geomean");
 }
 
 TEST(BenchGflops, Arithmetic)

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -227,16 +228,30 @@ TEST(NetRouter, StatsMergeLatencyAcrossShards)
     net::Router router(tinyShards(3));
     auto const tmpl = router.registerTemplate(scaleTemplate());
     std::vector<Payload> payloads(300);
+    // The varying digit leads the name: FNV-1a places names that differ
+    // only in their last byte close together on the ring, so
+    // "tenant-0".."tenant-9" would all land on one of the three shards.
+    std::set<std::size_t> shardsCovered;
     for(int t = 0; t < 10; ++t)
     {
-        auto const name = "tenant-" + std::to_string(t);
+        auto const name = std::to_string(t) + "-tenant";
+        shardsCovered.insert(router.shardOf(name));
         for(int i = 0; i < 30; ++i)
-            submitRetrying(router, serve::Request{tmpl, name, &payloads[t * 30 + i], std::nullopt, {}});
+        {
+            auto& payload = payloads[t * 30 + i];
+            payload.in = static_cast<double>(t * 30 + i);
+            submitRetrying(router, serve::Request{tmpl, name, &payload, std::nullopt, {}});
+        }
     }
+    ASSERT_EQ(shardsCovered.size(), 3U) << "the tenant set must reach every shard";
     router.drain();
 
+    for(auto const& p : payloads)
+        EXPECT_EQ(p.out, 2.0 * p.in + 1.0) << "request " << p.in;
     auto const stats = router.stats();
     EXPECT_EQ(stats.completed, 300U);
+    for(std::size_t s = 0; s < stats.perShard.size(); ++s)
+        EXPECT_GT(stats.perShard[s].completed, 0U) << "shard " << s << " served nothing";
     serve::LatencyCounts manual;
     std::uint64_t totalPerShard = 0;
     for(auto const& shard : stats.perShard)
