@@ -13,6 +13,11 @@
 ///    PayloadView over that buffer, the template mutates it in place,
 ///    and the response frame is encoded from the same bytes. No payload
 ///    copy exists anywhere between transport and kernel (satellite a).
+///  * Admission once per poll: the Request frames a poll completes are
+///    staged as slot references and admitted at the end of the poll in
+///    one Router call, sorted by shard, so every shard admits the poll's
+///    frames in one step (one gate, one reservation, one wake) instead
+///    of one per frame (DESIGN.md §9.2).
 ///  * Completion rides Future::then: the continuation (runs on a worker
 ///    thread) writes the slot's status and flips one atomic; the poll
 ///    thread picks the slot up on its next pass. The capture is one
@@ -58,8 +63,10 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace alpaka::net
 {
@@ -99,6 +106,25 @@ namespace alpaka::net
         catch(...)
         {
             return Status::Failed;
+        }
+    }
+
+    //! A refused admission's wire status: an unknown template is the
+    //! client's BadRequest; the rest maps like a completion error
+    //! (AdmissionError, ShardBusyError included, is Busy).
+    [[nodiscard]] inline auto refusalStatus(std::exception_ptr error) noexcept -> Status
+    {
+        try
+        {
+            std::rethrow_exception(error);
+        }
+        catch(UsageError const&)
+        {
+            return Status::BadRequest;
+        }
+        catch(...)
+        {
+            return statusOf(std::current_exception());
         }
     }
 
@@ -196,7 +222,8 @@ namespace alpaka::net
             }
             bool progress = false;
             for(auto& c : conns_)
-                progress = pollConn(c, tnow) || progress;
+                progress = pollConn(c) || progress;
+            admitStaged(tnow);
             return progress;
         }
 
@@ -262,6 +289,7 @@ namespace alpaka::net
             std::uint64_t reqId = 0;
             std::uint32_t tmpl = 0;
             std::uint32_t len = 0;
+            std::uint32_t deadlineUs = 0; //!< relative to the poll's tnow; 0 = none
             std::array<std::byte, Cfg::maxPayload> payload{};
         };
 
@@ -271,6 +299,7 @@ namespace alpaka::net
             ConnState state = ConnState::Vacant;
             std::array<char, Cfg::maxTenantBytes> tenant{};
             std::size_t tenantLen = 0;
+            std::size_t shard = 0; //!< the tenant's Router shard, fixed at Hello
             //! \name rx reassembly (one frame at a time)
             //! @{
             std::array<std::byte, headerSize> rxHeader{};
@@ -307,12 +336,25 @@ namespace alpaka::net
             std::array<Slot, Cfg::slotsPerConnection> slots{};
         };
 
+        //! Frames one poll reads from one connection at most: keeps one
+        //! chatty connection from starving the table, and bounds a
+        //! poll's staged admissions.
+        static constexpr std::size_t framesPerPoll = 16;
+        static constexpr std::size_t stagedCapacity = Cfg::maxConnections * framesPerPoll;
+
+        //! A Request frame received this poll, awaiting admitStaged().
+        struct Staged
+        {
+            Conn* conn = nullptr;
+            Slot* slot = nullptr;
+        };
+
         static constexpr auto errIdx(DecodeError e) noexcept -> std::size_t
         {
             return static_cast<std::size_t>(e);
         }
 
-        auto pollConn(Conn& c, std::chrono::steady_clock::time_point tnow) -> bool
+        auto pollConn(Conn& c) -> bool
         {
             if(c.state == ConnState::Vacant)
                 return false;
@@ -347,7 +389,7 @@ namespace alpaka::net
                 }
                 return progress; // drained peers send nothing further
             }
-            progress = pumpRx(c, tnow) || progress;
+            progress = pumpRx(c) || progress;
             return progress;
         }
 
@@ -579,7 +621,7 @@ namespace alpaka::net
             }
         }
 
-        void handleFrame(Conn& c, std::chrono::steady_clock::time_point tnow)
+        void handleFrame(Conn& c)
         {
             ++stats_.framesIn;
             switch(c.header.type)
@@ -587,6 +629,7 @@ namespace alpaka::net
             case FrameType::Hello:
             {
                 c.tenantLen = c.header.payloadLen;
+                c.shard = router_.shardOf(std::string_view(c.tenant.data(), c.tenantLen));
                 FrameHeader ack;
                 ack.type = FrameType::HelloAck;
                 ack.payloadLen = 0;
@@ -596,7 +639,7 @@ namespace alpaka::net
             }
             case FrameType::Request:
                 ALPAKA_TRACE_INSTANT("net.frame_decode", c.header.reqId);
-                submitSlot(c, *c.rxSlot, tnow);
+                stageSlot(c, *c.rxSlot);
                 return;
             case FrameType::Bye:
                 c.state = ConnState::Draining;
@@ -681,11 +724,12 @@ namespace alpaka::net
             }
         }
 
-        void submitSlot(Conn& c, Slot& slot, std::chrono::steady_clock::time_point tnow)
+        void stageSlot(Conn& c, Slot& slot)
         {
             slot.reqId = c.header.reqId;
             slot.tmpl = c.header.tmpl;
             slot.len = c.header.payloadLen;
+            slot.deadlineUs = c.header.deadlineUs;
             // The wire reqId is the request's trace correlation id: every
             // layer below (router, serve, graph) tags its spans with the
             // same value, so one Perfetto async track spans decode →
@@ -697,46 +741,74 @@ namespace alpaka::net
                 slot.state.store(slotDone, std::memory_order_relaxed);
                 return;
             }
-            serve::Request req;
-            req.tmpl = c.header.tmpl;
-            req.tenant = std::string_view(c.tenant.data(), c.tenantLen);
-            req.payload = serve::PayloadView(slot.payload.data(), slot.len);
-            req.traceId = slot.reqId;
-            if(c.header.deadlineUs != 0)
-                req.deadline = tnow + std::chrono::microseconds(c.header.deadlineUs);
             slot.state.store(slotBusy, std::memory_order_relaxed);
-            try
+            staged_[stagedCount_++] = Staged{&c, &slot};
+        }
+
+        //! Admits the poll's staged Request frames: sorted by shard
+        //! (stably — a connection's frames keep their order), rebuilt as
+        //! serve::Requests on this stack frame, admitted in one Router
+        //! call, which makes one Service admission per shard.
+        void admitStaged(std::chrono::steady_clock::time_point tnow)
+        {
+            auto const n = std::exchange(stagedCount_, std::size_t{0});
+            if(n == 0)
+                return;
+            for(std::size_t i = 1; i < n; ++i)
+                for(auto j = i; j > 0 && staged_[j - 1].conn->shard > staged_[j].conn->shard; --j)
+                    std::swap(staged_[j - 1], staged_[j]);
+            // Raw storage: only the n entries in use are constructed.
+            alignas(serve::Request) std::array<std::byte, stagedCapacity * sizeof(serve::Request)> requestBytes;
+            alignas(serve::Admission) std::array<std::byte, stagedCapacity * sizeof(serve::Admission)> admissionBytes;
+            for(std::size_t i = 0; i < n; ++i)
             {
-                // One-pointer capture: rides then()'s inline slot, no
-                // allocation (serve/future.hpp).
-                router_.submit(req).then(
-                    [slotPtr = &slot](std::exception_ptr e) noexcept
-                    {
-                        slotPtr->status = statusOf(e);
-                        ALPAKA_TRACE_INSTANT("net.completion", slotPtr->reqId);
-                        slotPtr->state.store(slotDone, std::memory_order_release);
-                    });
-                ++stats_.requestsSubmitted;
+                auto const& [c, slot] = staged_[i];
+                auto* const req = ::new(requestBytes.data() + i * sizeof(serve::Request)) serve::Request{};
+                req->tmpl = slot->tmpl;
+                req->tenant = std::string_view(c->tenant.data(), c->tenantLen);
+                req->payload = serve::PayloadView(slot->payload.data(), slot->len);
+                req->traceId = slot->reqId;
+                if(slot->deadlineUs != 0)
+                    req->deadline = tnow + std::chrono::microseconds(slot->deadlineUs);
+                ::new(admissionBytes.data() + i * sizeof(serve::Admission)) serve::Admission{};
             }
-            catch(serve::AdmissionError const&) // ShardBusyError included
+            auto* const requests = std::launder(reinterpret_cast<serve::Request*>(requestBytes.data()));
+            auto* const admissions = std::launder(reinterpret_cast<serve::Admission*>(admissionBytes.data()));
+            router_.submit({requests, n}, {admissions, n});
+            for(std::size_t i = 0; i < n; ++i)
             {
-                slot.status = Status::Busy;
-                slot.state.store(slotDone, std::memory_order_relaxed);
-                ++stats_.admissionRejected;
-            }
-            catch(UsageError const&)
-            {
-                slot.status = Status::BadRequest;
-                slot.state.store(slotDone, std::memory_order_relaxed);
+                auto* const slot = staged_[i].slot;
+                auto& outcome = admissions[i];
+                if(outcome.error == nullptr)
+                {
+                    // One-pointer capture: rides then()'s inline slot, no
+                    // allocation (serve/future.hpp). A request resolved at
+                    // admission (expired, cancelled) completes inline.
+                    outcome.future.then(
+                        [slot](std::exception_ptr e) noexcept
+                        {
+                            slot->status = statusOf(e);
+                            ALPAKA_TRACE_INSTANT("net.completion", slot->reqId);
+                            slot->state.store(slotDone, std::memory_order_release);
+                        });
+                    ++stats_.requestsSubmitted;
+                }
+                else
+                {
+                    slot->status = refusalStatus(outcome.error);
+                    if(slot->status == Status::Busy)
+                        ++stats_.admissionRejected;
+                    slot->state.store(slotDone, std::memory_order_relaxed);
+                }
+                outcome.~Admission();
+                requests[i].~Request();
             }
         }
 
-        auto pumpRx(Conn& c, std::chrono::steady_clock::time_point tnow) -> bool
+        auto pumpRx(Conn& c) -> bool
         {
             bool progress = false;
-            // Bounded frames per connection per poll: keeps one chatty
-            // connection from starving the table.
-            for(int frame = 0; frame < 16; ++frame)
+            for(std::size_t frame = 0; frame < framesPerPoll; ++frame)
             {
                 if(!c.headerDecoded)
                 {
@@ -792,7 +864,7 @@ namespace alpaka::net
                     closeWithError(c);
                     return true;
                 }
-                handleFrame(c, tnow);
+                handleFrame(c);
                 progress = true;
                 c.headerDecoded = false;
                 c.prepared = false;
@@ -836,5 +908,7 @@ namespace alpaka::net
         AdminProvider* admin_ = nullptr;
         FrontDoorStats stats_{};
         std::array<Conn, Cfg::maxConnections> conns_{};
+        std::array<Staged, stagedCapacity> staged_{};
+        std::size_t stagedCount_ = 0;
     };
 } // namespace alpaka::net

@@ -31,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -55,8 +56,7 @@ namespace alpaka::net
         std::size_t shard_;
     };
 
-    //! FNV-1a — the ring's tenant hash. Public because the affinity
-    //! tests re-derive placements offline.
+    //! FNV-1a over \p s, continuing from state \p h.
     [[nodiscard]] constexpr auto fnv1a(std::string_view s, std::uint64_t h = 14695981039346656037ULL) noexcept
         -> std::uint64_t
     {
@@ -68,8 +68,30 @@ namespace alpaka::net
         return h;
     }
 
+    //! splitmix64's finalizer. FNV-1a alone moves the hash of names that
+    //! differ only in their last byte by little, so sequential names
+    //! (and the ring's own vnode names) cluster on the ring; mixing the
+    //! state spreads every input bit over all 64.
+    [[nodiscard]] constexpr auto mix64(std::uint64_t h) noexcept -> std::uint64_t
+    {
+        h ^= h >> 30;
+        h *= 0xbf58476d1ce4e5b9ULL;
+        h ^= h >> 27;
+        h *= 0x94d049bb133111ebULL;
+        h ^= h >> 31;
+        return h;
+    }
+
+    //! The ring's hash of a tenant name (and of its vnode names):
+    //! FNV-1a finalized by mix64. Public because the affinity tests
+    //! re-derive placements offline.
+    [[nodiscard]] constexpr auto ringHash(std::string_view s) noexcept -> std::uint64_t
+    {
+        return mix64(fnv1a(s));
+    }
+
     //! Consistent-hash ring with virtual nodes: shard i contributes
-    //! `vnodes` points hash("shard/<i>/<v>"); a key is owned by the
+    //! `vnodes` points ringHash("shard/<i>/<v>"); a key is owned by the
     //! first point clockwise from its hash. Built once (sorted vector),
     //! lookups are lock-free binary searches — the submit hot path
     //! allocates nothing.
@@ -81,7 +103,7 @@ namespace alpaka::net
         [[nodiscard]] auto shardOf(std::uint64_t keyHash) const noexcept -> std::size_t;
         [[nodiscard]] auto shardOf(std::string_view tenant) const noexcept -> std::size_t
         {
-            return shardOf(fnv1a(tenant));
+            return shardOf(ringHash(tenant));
         }
         [[nodiscard]] auto shardCount() const noexcept -> std::size_t
         {
@@ -144,6 +166,15 @@ namespace alpaka::net
         //! \throws ShardBusyError when that shard's bounded queue is
         //! full — other shards are unaffected (invariant 22).
         auto submit(serve::Request const& request) -> serve::Future;
+
+        //! Span admission (serve::Service::submit over a span, per
+        //! shard): each run of consecutive requests bound for one shard
+        //! is admitted there in one call, so order within a shard is
+        //! kept and a caller that sorts its span by shard (FrontDoor
+        //! does) pays one call per shard. A run of same-tenant requests
+        //! hashes its tenant once. A request refused for space carries
+        //! ShardBusyError; submit(request) is the span of one.
+        void submit(std::span<serve::Request const> requests, std::span<serve::Admission> out);
 
         //! The shard \p tenant's requests land on (stable for the
         //! router's lifetime — invariant 21).

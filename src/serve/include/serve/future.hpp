@@ -56,6 +56,7 @@ namespace alpaka::serve
                     void* block = nullptr;
                     if(cache().pop(block))
                         return static_cast<T*>(block);
+                    stockSpares();
                 }
                 return static_cast<T*>(::operator new(n * sizeof(T)));
             }
@@ -73,6 +74,29 @@ namespace alpaka::serve
             }
 
         private:
+            //! A miss means every cached block is in use or still on its
+            //! way back (a free whose push has claimed the ring's tail
+            //! cell but not committed it — a pop cannot skip that cell).
+            //! Stocking spares on each miss keeps the cache ahead of the
+            //! number of live states, so a steady state that only
+            //! revisits its warm-up peak never misses: otherwise a
+            //! completion racing the next submission's allocation would
+            //! make the zero-allocation audit depend on timing.
+            static void stockSpares()
+            {
+                for(std::size_t i = 0; i < sparesPerMiss; ++i)
+                {
+                    void* spare = ::operator new(sizeof(T));
+                    if(!cache().push(spare))
+                    {
+                        ::operator delete(spare);
+                        return;
+                    }
+                }
+            }
+
+            static constexpr std::size_t sparesPerMiss = 16;
+
             static auto cache() -> core::MpmcRing<void*>&
             {
                 static auto* const ring = new core::MpmcRing<void*>(4096);

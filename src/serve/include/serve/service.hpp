@@ -80,6 +80,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -130,6 +131,19 @@ namespace alpaka::serve
         std::chrono::microseconds queueWaitBudget{0};
     };
 
+    //! One request's outcome of a span admission (Service::submit and
+    //! net::Router::submit over spans). Exactly one member is set:
+    //! \p future when the request was admitted — or resolved on the spot
+    //! with CancelledError/DeadlineError because it was already cancelled
+    //! or expired — and \p error when it was refused: AdmissionError
+    //! when a queue bound was full or the service is stopping, UsageError
+    //! for an unknown template.
+    struct Admission
+    {
+        Future future;
+        std::exception_ptr error;
+    };
+
     class Service
     {
     public:
@@ -171,6 +185,19 @@ namespace alpaka::serve
 
         //! Blocking submit of the full Request surface.
         auto submitFor(Request const& request, std::chrono::nanoseconds timeout) -> Future;
+
+        //! Admits \p requests in one step (DESIGN.md §6.2): one admission
+        //! gate raise, one global queue reservation, one clock read and
+        //! one worker wake for the whole span; tenant bounds are reserved
+        //! per request, looking a run of same-tenant requests' tenant up
+        //! once. \p out[i] receives request i's outcome (see Admission).
+        //! A tenant's requests queue in span order, and a refusal ends
+        //! its run: the rest of the run is refused too, so no request
+        //! overtakes an earlier one of its span. Every failure is a
+        //! request's error (nothing throws but a too-short \p out, a
+        //! UsageError); a span whose requests are all admitted allocates
+        //! nothing. submit() and submitFor() are its span of one.
+        void submit(std::span<Request const> requests, std::span<Admission> out);
 
         //! Blocks until no request is queued, in flight, or resolving.
         void drain();
@@ -451,17 +478,53 @@ namespace alpaka::serve
             std::exception_ptr error;
         };
 
-        auto admit(Request const& request, std::chrono::steady_clock::time_point const* spaceDeadline) -> Future;
-        [[nodiscard]] auto resolveTemplate(TemplateId id) -> TemplateState*;
+        //! Where a staging pass left the requests it could not reserve
+        //! for: how many, and the tenant of the first (the blocking
+        //! path waits for that tenant's space).
+        struct Waiting
+        {
+            std::size_t count = 0;
+            TenantState* tenant = nullptr;
+        };
+
+        //! The one admission path: submit/submitFor and the span submit
+        //! all land here. With \p spaceDeadline, requests refused for
+        //! space wait for it up to the deadline and retry.
+        void admit(
+            std::span<Request const> requests,
+            std::span<Admission> out,
+            std::chrono::steady_clock::time_point const* spaceDeadline);
+        //! Span of one: \returns the future or rethrows the refusal.
+        auto admitOne(Request const& request, std::chrono::steady_clock::time_point const* spaceDeadline) -> Future;
+        //! Refuses unknown templates and resolves requests already
+        //! cancelled or expired at \p now (stats settle first).
+        void preResolve(
+            std::span<Request const> requests,
+            std::span<Admission> out,
+            std::chrono::steady_clock::time_point now);
+        //! One staging pass over the requests still waiting: reserves,
+        //! stages into admitRing_ and \returns what could not reserve.
+        //! \p staged counts the requests this pass admitted.
+        [[nodiscard]] auto stage(
+            std::span<Request const> requests,
+            std::span<Admission> out,
+            std::chrono::steady_clock::time_point now,
+            std::size_t& staged) -> Waiting;
+        //! Lock-free template lookup; nullptr for an unknown id.
+        [[nodiscard]] auto templateFind(TemplateId id) -> TemplateState*;
         //! Lock-free tenant lookup through the open-addressed index;
         //! nullptr on miss (first submit of a tenant — the locked
         //! creation path handles it).
         [[nodiscard]] auto tenantFind(std::string_view name) const noexcept -> TenantState*;
         [[nodiscard]] auto tenantLocked(std::string_view name) -> TenantState*;
-        //! Reserves one global + one per-tenant queue slot against the
-        //! atomic bounds (fetch_add, rolled back on overshoot). \returns
-        //! false with nothing held when either bound is full.
-        [[nodiscard]] auto tryReserve(TenantState& t) noexcept -> bool;
+        //! Reserves one per-tenant queue slot against the tenant bound
+        //! (fetch_add, rolled back on overshoot). \returns false with
+        //! nothing held when the bound is full.
+        [[nodiscard]] auto tryReserveTenant(TenantState& t) noexcept -> bool;
+        [[nodiscard]] auto tenantCapacity() const noexcept -> std::size_t
+        {
+            return options_.tenantCapacity == 0 ? options_.queueCapacity : options_.tenantCapacity;
+        }
         //! Moves every request staged in the admission ring into its
         //! tenant's queue and rotation slot. Caller holds mutex_.
         void drainAdmissionLocked();
@@ -537,12 +600,15 @@ namespace alpaka::serve
         //! The bounded lock-free admission path (litmus: serve/
         //! {x86,arm64}_admit_ring_cell, *_admit_stop_gate): a submitter
         //! reserves against the atomic bounds, stages the request in this
-        //! MPMC ring and publishes workWord_ — no mutex anywhere on the
-        //! submit hot path. Workers move staged requests into the tenant
-        //! queues under mutex_ (drainAdmissionLocked) before scheduling.
-        //! Sized 2x queueCapacity so a push under a reservation never
-        //! meets a transiently-uncommitted cell.
-        core::MpmcRing<Pending> admitRing_;
+        //! MPMC ring and publishes workWord_ — no mutex on the submit hot
+        //! path. Workers move staged requests into the tenant queues
+        //! under mutex_ (drainAdmissionLocked) before scheduling. The
+        //! ring is a handoff buffer, not a second copy of the queue: a
+        //! fixed admitRingCells, whatever queueCapacity is. A submitter
+        //! that finds it full drains it under mutex_ itself and retries,
+        //! so its own requests keep their ring (FIFO) order (§8.7).
+        static constexpr std::size_t admitRingCells = 256;
+        core::MpmcRing<Pending> admitRing_{admitRingCells};
         //! Dekker gate against shutdown (litmus: serve/*_admit_stop_gate):
         //! a submitter raises the gate (seq_cst) and THEN checks stop_;
         //! shutdown stores stop_ and spins until the gate is zero before
@@ -558,8 +624,11 @@ namespace alpaka::serve
         std::atomic<std::uint64_t> rejected_{0};
         //! Worker wake word (replaces the old workCv_, which needed
         //! mutex_ on the submit side to avoid lost wakeups): a submitter
-        //! publishes after the ring push, workers snapshot-check-park.
+        //! publishes after the ring push, workers snapshot-check-spin-park.
         threadpool::detail::PublishWord workWord_;
+        //! Checks of workWord_ an idle worker makes before it parks
+        //! (zero on one hardware thread, like ThreadPool's).
+        int const spinBudget_ = threadpool::detail::machineSpinBudget();
 
         //! Scheduling state under one mutex (short critical sections:
         //! queue moves and counter updates only — neither execution nor

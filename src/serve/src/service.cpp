@@ -23,9 +23,9 @@ namespace alpaka::serve
 
         //! RAII arm of the admission gate (the Dekker pair with
         //! shutdown's stop_-store/gate-spin, litmus: serve/
-        //! *_admit_stop_gate). Raised for the whole reserve→push window
-        //! so shutdown's leftover sweep never misses an in-flight ring
-        //! push; released on every exit path, including the throws.
+        //! *_admit_stop_gate). Raised for a span's whole reserve→push
+        //! window so shutdown's leftover sweep never misses an in-flight
+        //! ring push; released on every exit path.
         class GateGuard
         {
         public:
@@ -43,14 +43,18 @@ namespace alpaka::serve
         private:
             std::atomic<std::size_t>& gate_;
         };
+
+        //! Inside Service::admit: a request neither admitted nor refused yet.
+        [[nodiscard]] auto waiting(Admission const& a) noexcept -> bool
+        {
+            return !a.future.valid() && a.error == nullptr;
+        }
     } // namespace
 
     // ------------------------------------------------------------------
     // construction / shutdown
 
-    Service::Service(Options options)
-        : options_(std::move(options))
-        , admitRing_(options_.queueCapacity * 2)
+    Service::Service(Options options) : options_(std::move(options))
     {
         pool_ = options_.pool != nullptr ? options_.pool : &threadpool::ThreadPool::global();
         if(options_.queueCapacity == 0)
@@ -311,7 +315,7 @@ namespace alpaka::serve
         return id;
     }
 
-    auto Service::resolveTemplate(TemplateId id) -> TemplateState*
+    auto Service::templateFind(TemplateId id) -> TemplateState*
     {
         // Hot path: one acquire load, no lock (zero-allocation audit —
         // submit never touches registryMutex_ once the template exists).
@@ -322,9 +326,7 @@ namespace alpaka::serve
                 return state;
         }
         std::scoped_lock lock(registryMutex_);
-        if(id >= templates_.size())
-            throw UsageError("serve::Service: unknown template id " + std::to_string(id));
-        return templates_[id].get();
+        return id < templates_.size() ? templates_[id].get() : nullptr;
     }
 
     // ------------------------------------------------------------------
@@ -382,140 +384,251 @@ namespace alpaka::serve
         return raw;
     }
 
-    auto Service::tryReserve(TenantState& t) noexcept -> bool
+    auto Service::tryReserveTenant(TenantState& t) noexcept -> bool
     {
         // Optimistic fetch_add with rollback: the transient overshoot is
-        // invisible to correctness (nothing is staged until both
-        // reservations held) and self-corrects before this returns.
-        if(queued_.fetch_add(1, std::memory_order_acq_rel) + 1 > options_.queueCapacity)
-        {
-            queued_.fetch_sub(1, std::memory_order_relaxed);
-            return false;
-        }
-        auto const tenantCap = options_.tenantCapacity == 0 ? options_.queueCapacity : options_.tenantCapacity;
-        if(t.depth.fetch_add(1, std::memory_order_acq_rel) + 1 > tenantCap)
+        // invisible to correctness (nothing is staged until the
+        // reservation held) and self-corrects before this returns.
+        if(t.depth.fetch_add(1, std::memory_order_acq_rel) + 1 > tenantCapacity())
         {
             t.depth.fetch_sub(1, std::memory_order_relaxed);
-            queued_.fetch_sub(1, std::memory_order_relaxed);
             return false;
         }
         return true;
     }
 
-    auto Service::admit(Request const& request, std::chrono::steady_clock::time_point const* spaceDeadline)
-        -> Future
+    void Service::preResolve(
+        std::span<Request const> requests,
+        std::span<Admission> out,
+        std::chrono::steady_clock::time_point now)
     {
-        auto* const state = resolveTemplate(request.tmpl);
-        // Fault site: admission itself fails (e.g. the tenant table
-        // allocation dies) — the error must reach the submitter, never a
-        // worker, and must not leak a queue slot.
-        ALPAKA_FAULT_POINT("serve.admit");
-        auto future = Future::makeState();
-
-        // Already doomed at submission: resolve now, queue nothing.
-        if(request.cancel.cancelled())
+        // A doomed request gets its future AND its typed error first;
+        // the future resolves only after the shed counters settled.
+        std::size_t cancelled = 0;
+        std::size_t expired = 0;
+        for(std::size_t i = 0; i < requests.size(); ++i)
         {
-            Future::complete(
-                future,
-                std::make_exception_ptr(CancelledError("serve::Service: request cancelled before admission")));
-            std::scoped_lock lock(mutex_);
-            ++shedCancelled_;
-            return Future(std::move(future));
+            auto const& r = requests[i];
+            if(templateFind(r.tmpl) == nullptr)
+            {
+                out[i].error = std::make_exception_ptr(
+                    UsageError("serve::Service: unknown template id " + std::to_string(r.tmpl)));
+                continue;
+            }
+            if(r.cancel.cancelled())
+            {
+                out[i].error = std::make_exception_ptr(
+                    CancelledError("serve::Service: request cancelled before admission"));
+                ++cancelled;
+            }
+            else if(r.deadline.has_value() && *r.deadline <= now)
+            {
+                out[i].error
+                    = std::make_exception_ptr(DeadlineError("serve::Service: deadline expired before admission"));
+                ++expired;
+            }
+            else
+                continue;
+            out[i].future = Future(Future::makeState());
         }
-        if(request.deadline.has_value() && *request.deadline <= std::chrono::steady_clock::now())
+        if(cancelled + expired == 0)
+            return;
         {
-            Future::complete(
-                future,
-                std::make_exception_ptr(DeadlineError("serve::Service: deadline expired before admission")));
+            // Counted like a dispatch-time shed (resolveShed): a resolved
+            // future always reads its request as completed and failed.
             std::scoped_lock lock(mutex_);
-            ++shedExpired_;
-            return Future(std::move(future));
+            shedCancelled_ += cancelled;
+            shedExpired_ += expired;
+            completed_ += cancelled + expired;
+            failed_ += cancelled + expired;
         }
+        for(auto& a : out.first(requests.size()))
+            if(a.future.valid() && a.error != nullptr)
+                Future::complete(a.future.state_, std::exchange(a.error, nullptr));
+    }
 
-        TenantState* t = tenantFind(request.tenant);
+    auto Service::stage(
+        std::span<Request const> requests,
+        std::span<Admission> out,
+        std::chrono::steady_clock::time_point now,
+        std::size_t& staged) -> Waiting
+    {
+        std::size_t count = 0;
+        for(auto const& a : out.first(requests.size()))
+            count += waiting(a) ? 1 : 0;
+        if(count == 0)
+            return {};
+        // One gate raise for the whole span, released on every exit.
+        GateGuard gate(admitGate_);
+        // Stop check AFTER the gate raise (seq_cst Dekker with shutdown,
+        // litmus: serve/*_admit_stop_gate).
+        if(stop_.load(std::memory_order_seq_cst))
+        {
+            rejected_.fetch_add(count, std::memory_order_relaxed);
+            auto const error
+                = std::make_exception_ptr(AdmissionError("serve::Service: submit while shutting down"));
+            for(auto& a : out.first(requests.size()))
+                if(waiting(a))
+                    a.error = error;
+            return {};
+        }
+        // One global reservation for the span, never past the bound; the
+        // part the tenant bounds refuse goes back below.
+        auto queued = queued_.load(std::memory_order_relaxed);
+        std::size_t granted = 0;
+        do
+        {
+            granted = queued >= options_.queueCapacity ? 0 : std::min(count, options_.queueCapacity - queued);
+        } while(granted != 0
+                && !queued_.compare_exchange_weak(
+                    queued,
+                    queued + granted,
+                    std::memory_order_acq_rel,
+                    std::memory_order_relaxed));
+        auto left = granted;
+
+        Waiting waits;
+        TenantState* t = nullptr;
+        bool runRefused = false;
+        for(std::size_t i = 0; i < requests.size(); ++i)
+        {
+            if(!waiting(out[i]))
+                continue;
+            auto const& r = requests[i];
+            std::shared_ptr<Future::State> future;
+            try
+            {
+                if(t == nullptr || r.tenant != t->name)
+                {
+                    runRefused = false;
+                    t = tenantFind(r.tenant);
+                    if(t == nullptr)
+                    {
+                        // First submit of this tenant: the one admission
+                        // path that locks (and allocates) — once per
+                        // tenant lifetime, never in the steady state.
+                        std::scoped_lock lock(mutex_);
+                        t = tenantLocked(r.tenant);
+                    }
+                }
+                future = Future::makeState();
+            }
+            catch(...)
+            {
+                out[i].error = std::current_exception(); // tenant bound (AdmissionError) or allocation
+                t = nullptr;
+                continue;
+            }
+            runRefused = runRefused || left == 0 || !tryReserveTenant(*t);
+            if(runRefused)
+            {
+                if(waits.count++ == 0)
+                    waits.tenant = t;
+                continue;
+            }
+            --left;
+            // Traced requests open their cross-thread timeline here
+            // (DESIGN.md §10): "serve.request" runs to completion,
+            // "serve.queued" to dispatch pop. Untraced requests (traceId
+            // 0) record nothing.
+            if(r.traceId != 0)
+            {
+                ALPAKA_TRACE_ASYNC_BEGIN("serve.request", r.traceId);
+                ALPAKA_TRACE_ASYNC_BEGIN("serve.queued", r.traceId);
+            }
+            Pending p{templateFind(r.tmpl), t, r.payload, future, now, r.deadline, r.cancel, r.traceId};
+            // Full ring: move its contents to the tenant queues (the
+            // reservations guarantee them room) and retry. A failed
+            // drain only means another producer's cell is mid-commit.
+            while(!admitRing_.push(p))
+            {
+                std::scoped_lock lock(mutex_);
+                drainAdmissionLocked();
+            }
+            t->admitted.fetch_add(1, std::memory_order_relaxed);
+            out[i].future = Future(std::move(future));
+        }
+        if(left != 0)
+            queued_.fetch_sub(left, std::memory_order_relaxed);
+        admitted_.fetch_add(granted - left, std::memory_order_relaxed);
+        staged += granted - left;
+        return waits;
+    }
+
+    void Service::admit(
+        std::span<Request const> requests,
+        std::span<Admission> out,
+        std::chrono::steady_clock::time_point const* spaceDeadline)
+    {
+        if(out.size() < requests.size())
+            throw UsageError("serve::Service::submit: fewer outcome slots than requests");
+        for(auto& a : out.first(requests.size()))
+            a = Admission{};
+        try
+        {
+            // Fault site: admission itself fails (e.g. the tenant table
+            // allocation dies) — once per span, before any reservation:
+            // the error reaches every submitter, no queue slot leaks.
+            ALPAKA_FAULT_POINT("serve.admit");
+        }
+        catch(...)
+        {
+            for(auto& a : out.first(requests.size()))
+                a.error = std::current_exception();
+            return;
+        }
+        auto now = std::chrono::steady_clock::now();
+        preResolve(requests, out, now);
+        std::size_t staged = 0;
         for(;;)
         {
-            bool reserved = false;
-            {
-                GateGuard gate(admitGate_);
-                // Stop check AFTER the gate raise (seq_cst Dekker with
-                // shutdown, litmus: serve/*_admit_stop_gate).
-                if(stop_.load(std::memory_order_seq_cst))
-                {
-                    rejected_.fetch_add(1, std::memory_order_relaxed);
-                    throw AdmissionError("serve::Service: submit while shutting down");
-                }
-                if(t == nullptr)
-                {
-                    // First submit of this tenant: the one admission path
-                    // that locks (and allocates) — once per tenant
-                    // lifetime, never in the steady state.
-                    std::scoped_lock lock(mutex_);
-                    t = tenantLocked(request.tenant);
-                }
-                if(tryReserve(*t))
-                {
-                    Pending p{
-                        state,
-                        t,
-                        request.payload,
-                        future,
-                        std::chrono::steady_clock::now(),
-                        request.deadline,
-                        request.cancel,
-                        request.traceId};
-                    // The reservation guarantees a free cell (ring is 2x
-                    // the bound); the spin only ever covers another
-                    // thread's in-flight cell commit.
-                    while(!admitRing_.push(std::move(p)))
-                        threadpool::detail::cpuRelax();
-                    admitted_.fetch_add(1, std::memory_order_relaxed);
-                    t->admitted.fetch_add(1, std::memory_order_relaxed);
-                    reserved = true;
-                }
-            }
-            if(reserved)
+            auto const waits = stage(requests, out, now, staged);
+            if(waits.count == 0)
                 break;
-            // Full. Fail fast (plain submit) or wait for space and retry
-            // the reservation (the wait is the one blocking submit path,
-            // and it parks outside the admission gate so shutdown never
-            // waits on a parked submitter).
+            // Full. Fail fast (no deadline) or wait for space and retry
+            // the reservations (the one blocking path; it parks outside
+            // the admission gate so shutdown never waits on a parked
+            // submitter).
+            std::string reason;
             if(spaceDeadline == nullptr)
+                reason = "serve::Service: admission queue full (queued "
+                         + std::to_string(queued_.load(std::memory_order_relaxed)) + "/"
+                         + std::to_string(options_.queueCapacity) + ", tenant '" + waits.tenant->name + "' "
+                         + std::to_string(waits.tenant->depth.load(std::memory_order_relaxed)) + "/"
+                         + std::to_string(tenantCapacity()) + ")";
+            else
             {
-                rejected_.fetch_add(1, std::memory_order_relaxed);
-                auto const tenantCap
-                    = options_.tenantCapacity == 0 ? options_.queueCapacity : options_.tenantCapacity;
-                throw AdmissionError(
-                    "serve::Service: admission queue full (queued " + std::to_string(queued_.load()) + "/"
-                    + std::to_string(options_.queueCapacity) + ", tenant '" + t->name + "' "
-                    + std::to_string(t->depth.load()) + "/" + std::to_string(tenantCap) + ")");
+                if(staged != 0)
+                {
+                    workWord_.publish();
+                    staged = 0;
+                }
+                std::unique_lock lock(mutex_);
+                auto const spaceLikely = [&]
+                {
+                    return stop_.load(std::memory_order_relaxed)
+                           || (queued_.load(std::memory_order_relaxed) < options_.queueCapacity
+                               && waits.tenant->depth.load(std::memory_order_relaxed) < tenantCapacity());
+                };
+                if(spaceCv_.wait_until(lock, *spaceDeadline, spaceLikely))
+                {
+                    // stop_ and lost reservation races resurface in the
+                    // next pass's gate-guarded checks.
+                    lock.unlock();
+                    now = std::chrono::steady_clock::now();
+                    continue;
+                }
+                reason = "serve::Service: admission deadline expired before queue space freed";
             }
-            std::unique_lock lock(mutex_);
-            auto const tenantCap = options_.tenantCapacity == 0 ? options_.queueCapacity : options_.tenantCapacity;
-            auto const spaceLikely = [&]
-            {
-                return stop_.load(std::memory_order_relaxed)
-                       || (queued_.load(std::memory_order_relaxed) < options_.queueCapacity
-                           && t->depth.load(std::memory_order_relaxed) < tenantCap);
-            };
-            if(!spaceCv_.wait_until(lock, *spaceDeadline, spaceLikely))
-            {
-                rejected_.fetch_add(1, std::memory_order_relaxed);
-                throw AdmissionError("serve::Service: admission deadline expired before queue space freed");
-            }
-            // stop_ and lost reservation races resurface in the next
-            // iteration's gate-guarded checks.
+            rejected_.fetch_add(waits.count, std::memory_order_relaxed);
+            auto const error = std::make_exception_ptr(AdmissionError(reason));
+            for(auto& a : out.first(requests.size()))
+                if(waiting(a))
+                    a.error = error;
+            break;
         }
-
-        // Request-lifecycle spans (DESIGN.md §10): traced requests open
-        // their cross-thread timeline here — "serve.request" runs to
-        // completion, "serve.queued" to dispatch pop. Untraced requests
-        // (traceId 0 — e.g. the bench's plain submits) record nothing.
-        if(request.traceId != 0)
-        {
-            ALPAKA_TRACE_ASYNC_BEGIN("serve.request", request.traceId);
-            ALPAKA_TRACE_ASYNC_BEGIN("serve.queued", request.traceId);
-        }
+        if(staged == 0)
+            return;
         workWord_.publish(); // wake a parked worker (elided when none is)
         if(options_.shedWatermark != 0 && queued_.load(std::memory_order_relaxed) > options_.shedWatermark)
         {
@@ -530,17 +643,31 @@ namespace alpaka::serve
             }
             resolveShed(shed);
         }
-        return Future(std::move(future));
+    }
+
+    auto Service::admitOne(Request const& request, std::chrono::steady_clock::time_point const* spaceDeadline)
+        -> Future
+    {
+        Admission outcome;
+        admit({&request, 1}, {&outcome, 1}, spaceDeadline);
+        if(outcome.error != nullptr)
+            std::rethrow_exception(outcome.error);
+        return std::move(outcome.future);
+    }
+
+    void Service::submit(std::span<Request const> requests, std::span<Admission> out)
+    {
+        admit(requests, out, nullptr);
     }
 
     auto Service::submit(TemplateId tmpl, std::string_view tenant, void* payload) -> Future
     {
-        return admit(Request{tmpl, tenant, payload, std::nullopt, {}}, nullptr);
+        return admitOne(Request{tmpl, tenant, payload, std::nullopt, {}}, nullptr);
     }
 
     auto Service::submit(Request const& request) -> Future
     {
-        return admit(request, nullptr);
+        return admitOne(request, nullptr);
     }
 
     auto Service::submitFor(
@@ -550,13 +677,13 @@ namespace alpaka::serve
         std::chrono::nanoseconds timeout) -> Future
     {
         auto const deadline = std::chrono::steady_clock::now() + timeout;
-        return admit(Request{tmpl, tenant, payload, std::nullopt, {}}, &deadline);
+        return admitOne(Request{tmpl, tenant, payload, std::nullopt, {}}, &deadline);
     }
 
     auto Service::submitFor(Request const& request, std::chrono::nanoseconds timeout) -> Future
     {
         auto const deadline = std::chrono::steady_clock::now() + timeout;
-        return admit(request, &deadline);
+        return admitOne(request, &deadline);
     }
 
     // ------------------------------------------------------------------
@@ -855,7 +982,19 @@ namespace alpaka::serve
                     std::this_thread::yield();
                     continue;
                 }
-                workWord_.park(ticket);
+                // Spin on the wake word before parking: under load the
+                // next request arrives within microseconds, and a parked
+                // worker costs its submitter a FUTEX_WAKE. The ticket is
+                // still the pre-check snapshot, so a publish landing
+                // after it makes the park return at once.
+                int spins = spinBudget_;
+                while(spins > 0 && workWord_.snapshot() == ticket)
+                {
+                    threadpool::detail::cpuRelax();
+                    --spins;
+                }
+                if(spins == 0)
+                    workWord_.park(ticket);
                 continue;
             }
 
@@ -894,7 +1033,12 @@ namespace alpaka::serve
             {
                 if(requests[i].traceId != 0)
                     ALPAKA_TRACE_ASYNC_END("serve.request", requests[i].traceId);
-                Future::complete(requests[i].future, outcomes[i]);
+                // The worker's reference goes as the future resolves, not
+                // at its next pop: an idle worker holding its last batch's
+                // futures would make how many are alive at once (what the
+                // recycling allocator's cache must cover) depend on how
+                // that batch happened to form.
+                Future::complete(std::exchange(requests[i].future, nullptr), outcomes[i]);
             }
             finishResolving(requests.size());
         }

@@ -20,6 +20,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -291,27 +292,129 @@ TEST(NetSession, DeadlinePropagatesAsExpiredStatus)
     router.drain();
 }
 
-TEST(NetSession, UnknownTemplateAnswersBadRequest)
+//! One poll admits every Request frame it read in one step per shard
+//! (DESIGN.md §9.2), yet each frame keeps its own outcome: frames of two
+//! tenants on different shards, one past its tenant's bound, one naming
+//! an unknown template and one already expired, all read by a single
+//! poll, each answered with its own status and payload.
+TEST(NetSession, OnePollAdmitsEveryFrameWithItsOwnOutcome)
 {
-    net::Router router(smallRouter());
-    router.registerTemplate(incrementTemplate());
-    Session s(router);
+    auto options = smallRouter(2);
+    options.shard.tenantCapacity = 2;
+    net::Router router(options);
+    std::atomic<bool> started{false};
+    std::atomic<bool> release{false};
+    serve::TemplateDesc gate;
+    gate.name = "gate";
+    gate.body = [&started, &release](serve::RequestItem const&)
+    {
+        started.store(true, std::memory_order_release);
+        while(!release.load(std::memory_order_acquire))
+            std::this_thread::sleep_for(1ms);
+    };
+    auto const gateId = router.registerTemplate(gate);
+    auto const incId = router.registerTemplate(incrementTemplate());
+    std::string const held = "tenant-held";
+    std::string open;
+    for(int t = 0; open.empty(); ++t)
+        if(auto name = "tenant-open-" + std::to_string(t); router.shardOf(name) != router.shardOf(held))
+            open = name;
 
-    std::array<std::byte, 4> payload{};
-    auto const reqId = s.client->trySubmit(9999, payload.data(), payload.size());
-    ASSERT_NE(reqId, 0U);
-    bool got = false;
-    ASSERT_TRUE(pollUntil(
-        s.door,
-        *s.client,
-        [&](Client::Response const& r)
+    Door door(router);
+    std::array<std::unique_ptr<Client>, 2> clients;
+    for(std::size_t i = 0; i < clients.size(); ++i)
+    {
+        auto [serverEnd, clientEnd] = net::makePipePair(1 << 16);
+        ASSERT_TRUE(door.accept(std::move(serverEnd)));
+        clients[i] = std::make_unique<Client>(std::move(clientEnd));
+        clients[i]->hello(i == 0 ? held : open);
+    }
+    struct Seen
+    {
+        net::Status status = net::Status::Ok;
+        std::vector<unsigned> payload;
+    };
+    // reqIds are per connection: one map per client.
+    std::array<std::map<std::uint64_t, Seen>, 2> seen;
+    auto const record = [&](std::size_t client)
+    {
+        return [&seen, client](Client::Response const& r)
         {
-            EXPECT_EQ(r.reqId, reqId);
-            EXPECT_EQ(r.status, net::Status::BadRequest);
-            got = true;
-        },
-        [&] { return got; }));
+            auto& entry = seen[client][r.reqId];
+            entry.status = r.status;
+            for(std::size_t i = 0; i < r.payloadLen; ++i)
+                entry.payload.push_back(static_cast<unsigned>(r.payload[i]));
+        };
+    };
+    auto const pollUntilDone = [&](auto&& done)
+    {
+        auto const until = std::chrono::steady_clock::now() + 5s;
+        while(!done() && std::chrono::steady_clock::now() < until)
+        {
+            door.poll(std::chrono::steady_clock::now());
+            for(std::size_t i = 0; i < clients.size(); ++i)
+                clients[i]->poll(record(i));
+        }
+        return done();
+    };
+    ASSERT_TRUE(pollUntilDone([&] { return clients[0]->ready() && clients[1]->ready(); }));
+
+    // Hold the first tenant's shard worker: what the batched poll admits
+    // for that tenant stays queued, against its bound of 2.
+    std::array<std::byte, 4> bytes{std::byte{10}, std::byte{20}, std::byte{30}, std::byte{40}};
+    auto const gateReq = clients[0]->trySubmit(gateId, bytes.data(), bytes.size());
+    ASSERT_NE(gateReq, 0U);
+    ASSERT_TRUE(pollUntilDone([&] { return started.load(std::memory_order_acquire); }));
+
+    auto const send = [&](std::size_t client, std::uint32_t tmpl, std::uint32_t deadlineUs = 0)
+    {
+        auto const reqId = clients[client]->trySubmit(tmpl, bytes.data(), bytes.size(), deadlineUs);
+        EXPECT_NE(reqId, 0U);
+        clients[client]->poll(record(client)); // into the pipe; the door has not read it yet
+        return reqId;
+    };
+    auto const heldOk1 = send(0, incId);
+    auto const heldOk2 = send(0, incId);
+    auto const heldBusy = send(0, incId);
+    auto const openOk1 = send(1, incId);
+    auto const openOk2 = send(1, incId);
+    auto const unknown = send(1, 9999);
+    auto const expired = send(1, incId, 1'000);
+
+    // One poll reads and admits all seven frames. It is anchored a second
+    // in the past, so the 1 ms budget is spent before admission.
+    auto const before = door.stats();
+    door.poll(std::chrono::steady_clock::now() - 1s);
+    EXPECT_EQ(door.stats().framesIn - before.framesIn, 7U);
+    EXPECT_EQ(door.stats().requestsSubmitted - before.requestsSubmitted, 5U) << "4 admitted + 1 resolved expired";
+    EXPECT_EQ(door.stats().admissionRejected - before.admissionRejected, 1U);
+
+    release.store(true, std::memory_order_release);
+    ASSERT_TRUE(pollUntilDone([&] { return seen[0].size() == 4 && seen[1].size() == 4; }));
+    auto& heldSeen = seen[0];
+    auto& openSeen = seen[1];
+    std::vector<unsigned> const incremented{11, 21, 31, 41};
+    EXPECT_EQ(heldSeen[gateReq].status, net::Status::Ok);
+    for(auto const reqId : {heldOk1, heldOk2})
+    {
+        EXPECT_EQ(heldSeen[reqId].status, net::Status::Ok) << "reqId " << reqId;
+        EXPECT_EQ(heldSeen[reqId].payload, incremented) << "reqId " << reqId;
+    }
+    for(auto const reqId : {openOk1, openOk2})
+    {
+        EXPECT_EQ(openSeen[reqId].status, net::Status::Ok) << "reqId " << reqId;
+        EXPECT_EQ(openSeen[reqId].payload, incremented) << "reqId " << reqId;
+    }
+    EXPECT_EQ(heldSeen[heldBusy].status, net::Status::Busy);
+    EXPECT_TRUE(heldSeen[heldBusy].payload.empty());
+    EXPECT_EQ(openSeen[unknown].status, net::Status::BadRequest);
+    EXPECT_EQ(openSeen[expired].status, net::Status::Expired);
+    EXPECT_TRUE(openSeen[unknown].payload.empty());
+    EXPECT_TRUE(openSeen[expired].payload.empty());
     router.drain();
+    auto const stats = router.stats();
+    EXPECT_EQ(stats.perShard[router.shardOf(held)].completed, 3U);
+    EXPECT_EQ(stats.perShard[router.shardOf(open)].completed, 3U); // 2 served + 1 expired at admission
 }
 
 TEST(NetSession, ByeDrainsAndAcks)

@@ -129,6 +129,74 @@ TEST(NetRouter, RingGrowthMovesOnlyItsShare)
     EXPECT_GT(static_cast<double>(toNew) / static_cast<double>(moved), 0.95);
 }
 
+//! The ring's hash is finalized (mix64 over FNV-1a), for vnode names and
+//! keys alike, so every shard owns about 1/N of the key space — and
+//! sequential tenant names spread instead of clustering on one shard.
+TEST(NetRouter, EveryShardOwnsItsShareOfTheKeySpace)
+{
+    constexpr std::uint64_t samples = 200'000;
+    for(std::size_t shards : {2U, 3U, 4U})
+    {
+        net::HashRing const ring(shards, 64);
+        std::vector<std::size_t> owned(shards);
+        // Evenly spaced points of the 64-bit key space.
+        constexpr auto step = ~std::uint64_t{0} / samples;
+        for(std::uint64_t k = 0; k < samples; ++k)
+            ++owned[ring.shardOf(k * step)];
+        std::set<std::size_t> reached;
+        for(int t = 0; t < 10; ++t)
+            reached.insert(ring.shardOf("tenant-" + std::to_string(t)));
+        for(std::size_t s = 0; s < shards; ++s)
+        {
+            auto const share = static_cast<double>(owned[s]) / samples;
+            EXPECT_NEAR(share, 1.0 / static_cast<double>(shards), 0.1) << "shard " << s << " of " << shards;
+        }
+        EXPECT_GT(reached.size(), 1U) << "tenant-0..tenant-9 all on one of " << shards << " shards";
+    }
+}
+
+//! The span entry point: a span interleaving two shards' tenants reaches
+//! each tenant's shard, and every request gets its own outcome (a
+//! refusal for space is ShardBusyError, as from submit(request)).
+TEST(NetRouter, SpanSubmitRoutesEveryRequestToItsShard)
+{
+    net::Router router(tinyShards(2, /*queueCapacity=*/4));
+    auto const tmpl = router.registerTemplate(scaleTemplate());
+    std::string const first = "tenant-0";
+    std::string second;
+    for(int t = 1; second.empty(); ++t)
+        if(auto name = "tenant-" + std::to_string(t); router.shardOf(name) != router.shardOf(first))
+            second = name;
+
+    // Interleaved tenants; five requests for a shard bounded at four
+    // (the first shard's fifth may find room once its worker drained).
+    std::vector<Payload> payloads(10);
+    std::vector<serve::Request> requests;
+    for(std::size_t i = 0; i < payloads.size(); ++i)
+    {
+        payloads[i].in = static_cast<double>(i);
+        requests.push_back(serve::Request{tmpl, i % 2 == 0 ? first : second, &payloads[i], std::nullopt, {}});
+    }
+    std::vector<serve::Admission> out(requests.size());
+    router.submit(requests, out);
+    for(std::size_t i = 0; i < out.size(); ++i)
+    {
+        if(out[i].error != nullptr)
+        {
+            EXPECT_THROW(std::rethrow_exception(out[i].error), net::ShardBusyError) << "request " << i;
+            continue;
+        }
+        out[i].future.wait();
+        EXPECT_EQ(payloads[i].out, 2.0 * payloads[i].in + 1.0) << "request " << i;
+    }
+    for(std::size_t i = 0; i < 8; ++i)
+        EXPECT_EQ(out[i].error, nullptr) << "request " << i << " within both shards' bounds";
+    router.drain();
+    auto const stats = router.stats();
+    for(auto const& shard : stats.perShard)
+        EXPECT_GE(shard.completed, 4U);
+}
+
 //! Invariant 22: one tenant saturating its shard's bounded queue gets
 //! typed ShardBusyError naming that shard — while a tenant hashed to
 //! another shard keeps being admitted untouched.
@@ -228,13 +296,10 @@ TEST(NetRouter, StatsMergeLatencyAcrossShards)
     net::Router router(tinyShards(3));
     auto const tmpl = router.registerTemplate(scaleTemplate());
     std::vector<Payload> payloads(300);
-    // The varying digit leads the name: FNV-1a places names that differ
-    // only in their last byte close together on the ring, so
-    // "tenant-0".."tenant-9" would all land on one of the three shards.
     std::set<std::size_t> shardsCovered;
     for(int t = 0; t < 10; ++t)
     {
-        auto const name = std::to_string(t) + "-tenant";
+        auto const name = "tenant-" + std::to_string(t);
         shardsCovered.insert(router.shardOf(name));
         for(int i = 0; i < 30; ++i)
         {

@@ -368,6 +368,159 @@ TEST(ServeService, PerTenantCapacityIsolatesNoisyNeighbour)
         f.wait();
 }
 
+//! Span admission (DESIGN.md §6.2): one call, and each request still
+//! gets its own outcome — admitted, refused by its tenant's bound,
+//! resolved on the spot (cancelled, expired) or refused as an unknown
+//! template — with the stats settled for each.
+TEST(ServeService, SpanAdmissionGivesEveryRequestItsOwnOutcome)
+{
+    serve::Service svc(serve::ServiceOptions{.cpuWorkers = 1, .queueCapacity = 16, .tenantCapacity = 2});
+    Gate gate;
+    auto const gateId = svc.registerTemplate(gate.desc());
+    auto const scaleId = svc.registerTemplate(scaleTemplate(4));
+    Payload gatePayload;
+    auto const gateFuture = svc.submit(gateId, "a", &gatePayload);
+    gate.awaitStarted(); // in flight: tenant "a" holds nothing queued
+
+    auto const cancelled = serve::CancelToken::make();
+    cancelled.cancel();
+    auto const past = std::chrono::steady_clock::now() - 1s;
+    std::vector<Payload> payloads(7);
+    for(std::size_t i = 0; i < payloads.size(); ++i)
+        payloads[i].in = static_cast<double>(i);
+    std::vector<serve::Request> const requests{
+        {scaleId, "a", &payloads[0], std::nullopt, {}},
+        {9999, "a", &payloads[1], std::nullopt, {}},
+        {scaleId, "a", &payloads[2], std::nullopt, cancelled},
+        {scaleId, "b", &payloads[3], past, {}},
+        {scaleId, "a", &payloads[4], std::nullopt, {}},
+        {scaleId, "a", &payloads[5], std::nullopt, {}}, // past tenant "a"'s bound of 2
+        {scaleId, "b", &payloads[6], std::nullopt, {}},
+    };
+    std::vector<serve::Admission> out(requests.size());
+    svc.submit(requests, out);
+
+    auto const rethrows = [](std::exception_ptr const& e, auto tag)
+    {
+        try
+        {
+            std::rethrow_exception(e);
+        }
+        catch(decltype(tag) const&)
+        {
+            return true;
+        }
+        catch(...)
+        {
+            return false;
+        }
+    };
+    for(std::size_t i : {0U, 4U, 6U})
+    {
+        EXPECT_TRUE(out[i].future.valid()) << "request " << i;
+        EXPECT_EQ(out[i].error, nullptr) << "request " << i;
+    }
+    EXPECT_FALSE(out[1].future.valid());
+    EXPECT_TRUE(rethrows(out[1].error, UsageError("")));
+    EXPECT_FALSE(out[5].future.valid());
+    EXPECT_TRUE(rethrows(out[5].error, serve::AdmissionError("")));
+    ASSERT_TRUE(out[2].future.valid());
+    EXPECT_TRUE(out[2].future.poll()) << "resolved at admission";
+    EXPECT_TRUE(rethrows(out[2].future.error(), serve::CancelledError("")));
+    ASSERT_TRUE(out[3].future.valid());
+    EXPECT_TRUE(out[3].future.poll());
+    EXPECT_TRUE(rethrows(out[3].future.error(), serve::DeadlineError("")));
+
+    auto const held = svc.stats();
+    EXPECT_EQ(held.queued, 3U);
+    EXPECT_EQ(held.admitted, 4U); // the gate and three of the span
+    EXPECT_EQ(held.rejected, 1U);
+    EXPECT_EQ(held.shedCancelled, 1U);
+    EXPECT_EQ(held.shedExpired, 1U);
+    EXPECT_EQ(held.completed, 2U) << "a future resolved at admission reads as completed";
+
+    gate.release.store(true, std::memory_order_release);
+    gateFuture.wait();
+    for(std::size_t i : {0U, 4U, 6U})
+    {
+        out[i].future.wait();
+        EXPECT_EQ(payloads[i].out, 2.0 * payloads[i].in + 1.0) << "request " << i;
+    }
+    svc.drain();
+    auto const settled = svc.stats();
+    EXPECT_EQ(settled.completed, 6U); // the two resolved at admission count too
+    EXPECT_EQ(settled.failed, 2U);
+}
+
+//! The admission ring is a fixed handoff buffer, far smaller than the
+//! queue bound (DESIGN.md §8.7): with the worker blocked, a span longer
+//! than the ring still admits up to the bound, drains the full ring into
+//! the tenant queues itself, loses nothing and keeps each tenant's
+//! order; past the bound it refuses.
+TEST(ServeService, AdmissionPastTheRingKeepsOrderAndBound)
+{
+    constexpr std::size_t capacity = 300; // > the 256-cell ring
+    constexpr std::size_t offered = 400;
+    serve::Service svc(serve::ServiceOptions{.cpuWorkers = 1, .queueCapacity = capacity});
+    Gate gate;
+    auto const gateId = svc.registerTemplate(gate.desc());
+    struct Seq
+    {
+        int tenant = 0;
+        int seq = 0;
+    };
+    std::mutex logMutex;
+    std::vector<Seq> log;
+    serve::TemplateDesc record;
+    record.name = "record";
+    record.maxBatch = 1; // one request per dispatch: the log is the dispatch order
+    record.body = [&](serve::RequestItem const& item)
+    {
+        std::scoped_lock lock(logMutex);
+        log.push_back(*static_cast<Seq*>(item.payload));
+    };
+    auto const recordId = svc.registerTemplate(record);
+    Payload gatePayload;
+    auto const gateFuture = svc.submit(gateId, "gate", &gatePayload);
+    gate.awaitStarted();
+
+    // Runs of three requests alternate between the two tenants.
+    std::string const tenants[] = {"even", "odd"};
+    std::vector<Seq> payloads(offered);
+    std::vector<serve::Request> requests;
+    for(std::size_t i = 0; i < offered; ++i)
+    {
+        auto const tenant = static_cast<int>((i / 3) % 2);
+        payloads[i] = Seq{tenant, static_cast<int>(i)};
+        requests.push_back(serve::Request{recordId, tenants[tenant], &payloads[i], std::nullopt, {}});
+    }
+    std::vector<serve::Admission> out(offered);
+    svc.submit(requests, out);
+    for(std::size_t i = 0; i < offered; ++i)
+    {
+        EXPECT_EQ(out[i].future.valid(), i < capacity) << "request " << i;
+        EXPECT_EQ(out[i].error != nullptr, i >= capacity) << "request " << i;
+    }
+    EXPECT_EQ(svc.stats().queued, capacity);
+
+    gate.release.store(true, std::memory_order_release);
+    gateFuture.wait();
+    for(std::size_t i = 0; i < capacity; ++i)
+        EXPECT_NO_THROW(out[i].future.wait()) << "request " << i;
+    svc.drain();
+    ASSERT_EQ(log.size(), capacity);
+    int last[2] = {-1, -1};
+    for(auto const& entry : log)
+    {
+        EXPECT_GT(entry.seq, last[entry.tenant]) << "tenant " << entry.tenant << " out of order";
+        last[entry.tenant] = entry.seq;
+    }
+    auto const stats = svc.stats();
+    EXPECT_EQ(stats.queued, 0U);
+    EXPECT_EQ(stats.completed, capacity + 1);
+    EXPECT_EQ(stats.rejected, offered - capacity);
+}
+
 // -------------------------------------------------------------------- futures
 
 TEST(ServeService, FutureSemanticsPollThenErrorsConfined)
