@@ -427,7 +427,11 @@ auto main(int argc, char** argv) -> int
         mismatched += r.mismatched;
     }
     auto const endToEnd = merged.snapshot();
-    auto const routed = router.stats();
+    auto const perShard = router.stats();
+    obs::Registry fleet;
+    obs::collect(fleet, perShard);
+    auto const inService = fleet.find("serve_latency")->hist.snapshot();
+    auto const queueWait = fleet.find("serve_queue_wait")->hist.snapshot();
 
     std::cout << std::fixed << std::setprecision(1);
     std::cout << "\n  completed   " << verified << " verified, " << mismatched << " mismatched\n";
@@ -435,15 +439,15 @@ auto main(int argc, char** argv) -> int
               << " req/s (" << std::setprecision(2) << elapsed << " s wall)\n";
     std::cout << "  end-to-end  p50 " << std::setprecision(0) << endToEnd.p50Us << " us   p99 " << endToEnd.p99Us
               << " us   max " << endToEnd.maxUs << " us\n";
-    std::cout << "  in-service  p50 " << routed.latency.p50Us << " us   p99 " << routed.latency.p99Us
-              << " us   max " << routed.latency.maxUs << " us\n";
+    std::cout << "  in-service  p50 " << inService.p50Us << " us   p99 " << inService.p99Us << " us   max "
+              << inService.maxUs << " us\n";
     std::cout << "  per shard   ";
-    for(std::size_t s = 0; s < routed.perShard.size(); ++s)
-        std::cout << (s > 0 ? " / " : "") << "shard " << s << ": " << routed.perShard[s].completed << " done, "
-                  << routed.perShard[s].batches << " batches";
+    for(std::size_t s = 0; s < perShard.size(); ++s)
+        std::cout << (s > 0 ? " / " : "") << "shard " << s << ": " << perShard[s].completed << " done, "
+                  << perShard[s].batches << " batches";
     std::cout << '\n';
-    std::cout << "  queue wait  p50 " << routed.queueWait.p50Us << " us   p99 " << routed.queueWait.p99Us
-              << " us   max " << routed.queueWait.maxUs << " us\n";
+    std::cout << "  queue wait  p50 " << queueWait.p50Us << " us   p99 " << queueWait.p99Us << " us   max "
+              << queueWait.maxUs << " us\n";
     if(adminRun)
     {
         auto const ds = door.stats();
@@ -467,7 +471,7 @@ auto main(int argc, char** argv) -> int
         // every shard, the wire front door, the thread pool, the span
         // rings themselves, and the (normally unarmed) fault registry.
         obs::Registry reg;
-        obs::collect(reg, routed);
+        obs::collect(reg, perShard);
         obs::collect(reg, door.stats());
         obs::collect(reg, threadpool::ThreadPool::global().counters());
         obs::collectTrace(reg);

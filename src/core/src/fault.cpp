@@ -2,6 +2,8 @@
 
 #include "alpaka/core/fault.hpp"
 
+#include "alpaka/core/hash.hpp"
+
 #include <algorithm>
 #include <cstdlib>
 #include <mutex>
@@ -39,27 +41,6 @@ namespace alpaka::fault
             {
                 static Registry r;
                 return r;
-            }
-
-            // FNV-1a, so a site's schedule is stable across runs and
-            // independent of other sites sharing the seed.
-            auto hashSite(std::string_view site) noexcept -> std::uint64_t
-            {
-                std::uint64_t h = 0xcbf29ce484222325ull;
-                for(char const c : site)
-                {
-                    h ^= static_cast<unsigned char>(c);
-                    h *= 0x100000001b3ull;
-                }
-                return h;
-            }
-
-            auto splitmix64(std::uint64_t x) noexcept -> std::uint64_t
-            {
-                x += 0x9E3779B97F4A7C15ull;
-                x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-                x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-                return x ^ (x >> 31);
             }
         } // namespace
 
@@ -218,8 +199,10 @@ namespace alpaka::fault
             return true;
         if(trigger.probability <= 0.0)
             return false;
-        auto const x
-            = detail::splitmix64(seed ^ detail::hashSite(site) ^ (hitIndex * 0x9E3779B97F4A7C15ull));
+        // splitmix64 over the seed, the site's FNV-1a (stable across runs
+        // and independent of other sites sharing the seed) and the hit.
+        constexpr std::uint64_t golden = 0x9E3779B97F4A7C15ull;
+        auto const x = core::mix64((seed ^ core::fnv1a(site) ^ (hitIndex * golden)) + golden);
         // 53 uniform mantissa bits in [0,1) against p — the standard
         // bit-exact uniform-double construction.
         return static_cast<double>(x >> 11) * 0x1.0p-53 < trigger.probability;

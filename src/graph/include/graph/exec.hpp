@@ -117,17 +117,6 @@ namespace alpaka::graph
         }
         //! @}
 
-        //! Per-node trace events for THIS Exec's replays: every node
-        //! completion emits a "graph.node_complete" instant (node id as
-        //! arg). Off by default — a wide graph emits one event per node
-        //! per replay, which can dominate the span rings; the replay-level
-        //! "graph.replay" span is always recorded. No-op in
-        //! ALPAKA_REPRO_TRACE=OFF builds.
-        void traceNodes(bool on) noexcept
-        {
-            traceNodes_.store(on, std::memory_order_relaxed);
-        }
-
     private:
         template<typename TStream>
         static void requireNotCapturing(TStream const& stream)
@@ -227,6 +216,5 @@ namespace alpaka::graph
         std::mutex serialMutex_;
         bool serializeReplays_ = false;
         int spinBudget_ = threadpool::detail::machineSpinBudget();
-        std::atomic<bool> traceNodes_{false}; //!< per-node completion instants (traceNodes())
     };
 } // namespace alpaka::graph

@@ -236,8 +236,6 @@ namespace alpaka::graph
 
     void Exec::completeNode(ReplayScratch& scratch, NodeId node)
     {
-        if(traceNodes_.load(std::memory_order_relaxed))
-            ALPAKA_TRACE_INSTANT("graph.node_complete", node);
         auto const& done = nodes_[node];
         for(auto s = done.succBegin; s < done.succEnd; ++s)
         {

@@ -147,25 +147,13 @@ namespace alpaka::mempool
         std::uint64_t cacheMisses = 0; //!< allocations sent upstream
     };
 
-    struct PoolOptions
-    {
-        //! Smallest size class; requests are rounded up to it.
-        std::size_t minBlockBytes = 256;
-        //! How many cached blocks of a bin one allocation inspects before
-        //! giving up and going upstream (bounds the fence-poll work on the
-        //! hot path).
-        std::size_t scanLimit = 16;
-    };
-
     //! A stream-ordered caching allocator over one upstream (one device).
     //! Thread safe: any number of streams (i.e. their submitting host
     //! threads) may allocate and free concurrently.
     class Pool
     {
     public:
-        using Options = PoolOptions;
-
-        explicit Pool(Upstream upstream, Options options = {});
+        explicit Pool(Upstream upstream);
         //! Releases every block — cached *and* still in use — back to the
         //! upstream allocator, like a device reset (the same rule
         //! gpusim::MemoryManager applies to leftover allocations).
@@ -271,6 +259,12 @@ namespace alpaka::mempool
         };
 
         static constexpr std::size_t binCount = 64;
+        //! Smallest size class; requests are rounded up to it.
+        static constexpr std::size_t minBlockBytes = 256;
+        //! How many cached blocks of a bin one allocation inspects before
+        //! giving up and going upstream (bounds the fence-poll work on the
+        //! hot path).
+        static constexpr std::size_t scanLimit = 16;
 
         [[nodiscard]] auto binOf(std::size_t bytes) const -> std::uint32_t;
         //! Takes a reusable block from \p bin, or nullptr. \p streamKey
@@ -280,7 +274,6 @@ namespace alpaka::mempool
         void releaseGraph(void* ptr) noexcept;
 
         Upstream upstream_;
-        Options options_;
 
         mutable std::mutex mutex_;
         //! Every block currently held from upstream, keyed by payload.

@@ -18,12 +18,10 @@ namespace alpaka::mempool
             pool_->releaseGraph(ptr_);
     }
 
-    Pool::Pool(Upstream upstream, Options options) : upstream_(std::move(upstream)), options_(options)
+    Pool::Pool(Upstream upstream) : upstream_(std::move(upstream))
     {
         if(upstream_.allocate == nullptr || upstream_.deallocate == nullptr)
             throw PoolError("mempool::Pool: upstream allocate/deallocate must both be set");
-        options_.minBlockBytes = std::max<std::size_t>(std::bit_ceil(options_.minBlockBytes), 64);
-        options_.scanLimit = std::max<std::size_t>(options_.scanLimit, 1);
     }
 
     Pool::~Pool()
@@ -44,7 +42,7 @@ namespace alpaka::mempool
 
     auto Pool::binOf(std::size_t bytes) const -> std::uint32_t
     {
-        return static_cast<std::uint32_t>(std::bit_width(std::bit_ceil(std::max(bytes, options_.minBlockBytes)) - 1));
+        return static_cast<std::uint32_t>(std::bit_width(std::bit_ceil(std::max(bytes, minBlockBytes)) - 1));
     }
 
     auto Pool::popReusable(std::uint32_t bin, void const* streamKey) -> Node*
@@ -59,7 +57,7 @@ namespace alpaka::mempool
         // which is exactly where it would hurt.
         ALPAKA_FAULT_POINT("mempool.fence_poll");
         auto& list = bins_[bin];
-        auto const scan = std::min(options_.scanLimit, list.size());
+        auto const scan = std::min(scanLimit, list.size());
         for(std::size_t i = 0; i < scan; ++i)
         {
             auto const idx = list.size() - 1 - i;

@@ -250,20 +250,6 @@ namespace alpaka::net
             admin_ = provider;
         }
 
-        //! Force-closes every connection (no Bye handshake); keep
-        //! polling until openConnections() == 0 to let late
-        //! continuations land.
-        void closeAll() noexcept
-        {
-            for(auto& c : conns_)
-            {
-                if(c.state == ConnState::Vacant || c.state == ConnState::Reaping)
-                    continue;
-                c.transport->close();
-                c.state = ConnState::Reaping;
-            }
-        }
-
     private:
         enum class ConnState : std::uint8_t
         {

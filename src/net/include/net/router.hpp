@@ -15,9 +15,10 @@
 ///  * the hash ring uses virtual nodes, so growing the fleet from N to
 ///    N+1 shards remaps only ~1/(N+1) of the tenant space (the classic
 ///    consistent-hashing bound) instead of reshuffling everyone;
-///  * stats() MERGES the shards' raw latency bucket counts before
-///    deriving fleet quantiles — quantiles of quantiles are meaningless,
-///    bucket sums are exact (serve/latency.hpp).
+///  * stats() returns one snapshot per shard; the fleet totals are the
+///    obs::Registry merge of them (obs::collect), which sums counters
+///    and merges latency buckets — quantiles of quantiles are
+///    meaningless, bucket sums are exact (serve/latency.hpp).
 ///
 /// Templates are registered through the router so every shard lowers
 /// the same id; shutdown drains every shard with the same bounded-drain
@@ -26,6 +27,8 @@
 
 #include "serve/service.hpp"
 #include "serve/types.hpp"
+
+#include "alpaka/core/hash.hpp"
 
 #include <chrono>
 #include <cstddef>
@@ -56,49 +59,25 @@ namespace alpaka::net
         std::size_t shard_;
     };
 
-    //! FNV-1a over \p s, continuing from state \p h.
-    [[nodiscard]] constexpr auto fnv1a(std::string_view s, std::uint64_t h = 14695981039346656037ULL) noexcept
-        -> std::uint64_t
-    {
-        for(char const c : s)
-        {
-            h ^= static_cast<std::uint8_t>(c);
-            h *= 1099511628211ULL;
-        }
-        return h;
-    }
-
-    //! splitmix64's finalizer. FNV-1a alone moves the hash of names that
-    //! differ only in their last byte by little, so sequential names
-    //! (and the ring's own vnode names) cluster on the ring; mixing the
-    //! state spreads every input bit over all 64.
-    [[nodiscard]] constexpr auto mix64(std::uint64_t h) noexcept -> std::uint64_t
-    {
-        h ^= h >> 30;
-        h *= 0xbf58476d1ce4e5b9ULL;
-        h ^= h >> 27;
-        h *= 0x94d049bb133111ebULL;
-        h ^= h >> 31;
-        return h;
-    }
-
     //! The ring's hash of a tenant name (and of its vnode names):
-    //! FNV-1a finalized by mix64. Public because the affinity tests
-    //! re-derive placements offline.
+    //! FNV-1a finalized by mix64 (alpaka/core/hash.hpp). Public because
+    //! the affinity tests re-derive placements offline.
     [[nodiscard]] constexpr auto ringHash(std::string_view s) noexcept -> std::uint64_t
     {
-        return mix64(fnv1a(s));
+        return core::mix64(core::fnv1a(s));
     }
 
     //! Consistent-hash ring with virtual nodes: shard i contributes
-    //! `vnodes` points ringHash("shard/<i>/<v>"); a key is owned by the
+    //! `vnodes` (64) points ringHash("shard/<i>/<v>"); a key is owned by the
     //! first point clockwise from its hash. Built once (sorted vector),
     //! lookups are lock-free binary searches — the submit hot path
     //! allocates nothing.
     class HashRing
     {
     public:
-        HashRing(std::size_t shards, std::size_t vnodes);
+        static constexpr std::size_t vnodes = 64;
+
+        explicit HashRing(std::size_t shards);
 
         [[nodiscard]] auto shardOf(std::uint64_t keyHash) const noexcept -> std::size_t;
         [[nodiscard]] auto shardOf(std::string_view tenant) const noexcept -> std::size_t
@@ -124,29 +103,8 @@ namespace alpaka::net
     {
         //! Independent serve::Service shards (>= 1).
         std::size_t shards = 2;
-        //! Virtual nodes per shard on the hash ring. More vnodes =
-        //! smoother tenant spread, bigger (still static) ring.
-        std::size_t vnodesPerShard = 64;
         //! Applied to every shard (workers, queue bounds, supervision).
         serve::ServiceOptions shard{};
-    };
-
-    //! Fleet-wide introspection: the scalar counters summed, the latency
-    //! histograms bucket-merged (then quantiled), the full per-shard
-    //! snapshots kept for depth inspection.
-    struct RouterStats
-    {
-        std::size_t queued = 0;
-        std::size_t inFlight = 0;
-        std::uint64_t admitted = 0;
-        std::uint64_t rejected = 0;
-        std::uint64_t completed = 0;
-        std::uint64_t failed = 0;
-        serve::LatencySnapshot latency;
-        serve::LatencyCounts latencyCounts;
-        serve::LatencySnapshot queueWait;
-        serve::LatencyCounts queueWaitCounts;
-        std::vector<serve::ServiceStats> perShard;
     };
 
     class Router
@@ -201,7 +159,9 @@ namespace alpaka::net
         auto shutdown(std::chrono::nanoseconds timeout = std::chrono::seconds(5))
             -> std::vector<serve::ShutdownReport>;
 
-        [[nodiscard]] auto stats() const -> RouterStats;
+        //! One snapshot per shard, in shard order. Fleet totals are the
+        //! registry merge: obs::collect(reg, router.stats()).
+        [[nodiscard]] auto stats() const -> std::vector<serve::ServiceStats>;
 
     private:
         HashRing ring_;

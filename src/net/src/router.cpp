@@ -12,10 +12,10 @@
 
 namespace alpaka::net
 {
-    HashRing::HashRing(std::size_t shards, std::size_t vnodes) : shards_(shards)
+    HashRing::HashRing(std::size_t shards) : shards_(shards)
     {
-        if(shards == 0 || vnodes == 0)
-            throw UsageError("net::HashRing: shards and vnodes must be >= 1");
+        if(shards == 0)
+            throw UsageError("net::HashRing: shards must be >= 1");
         ring_.reserve(shards * vnodes);
         for(std::size_t s = 0; s < shards; ++s)
         {
@@ -24,13 +24,13 @@ namespace alpaka::net
                 // ringHash("shard/<s>/<v>") without allocating: feed
                 // the pieces through FNV's running state, then mix.
                 std::array<char, 24> num{};
-                auto h = fnv1a("shard/");
+                auto h = core::fnv1a("shard/");
                 auto* end = std::to_chars(num.data(), num.data() + num.size(), s).ptr;
-                h = fnv1a({num.data(), static_cast<std::size_t>(end - num.data())}, h);
-                h = fnv1a("/", h);
+                h = core::fnv1a({num.data(), static_cast<std::size_t>(end - num.data())}, h);
+                h = core::fnv1a("/", h);
                 end = std::to_chars(num.data(), num.data() + num.size(), v).ptr;
-                h = fnv1a({num.data(), static_cast<std::size_t>(end - num.data())}, h);
-                ring_.push_back(Point{mix64(h), static_cast<std::uint32_t>(s)});
+                h = core::fnv1a({num.data(), static_cast<std::size_t>(end - num.data())}, h);
+                ring_.push_back(Point{core::mix64(h), static_cast<std::uint32_t>(s)});
             }
         }
         std::sort(
@@ -51,7 +51,7 @@ namespace alpaka::net
         return it != ring_.end() ? it->shard : ring_.front().shard;
     }
 
-    Router::Router(RouterOptions options) : ring_(options.shards, options.vnodesPerShard)
+    Router::Router(RouterOptions options) : ring_(options.shards)
     {
         shards_.reserve(options.shards);
         for(std::size_t s = 0; s < options.shards; ++s)
@@ -136,25 +136,12 @@ namespace alpaka::net
         return reports;
     }
 
-    auto Router::stats() const -> RouterStats
+    auto Router::stats() const -> std::vector<serve::ServiceStats>
     {
-        RouterStats out;
-        out.perShard.reserve(shards_.size());
+        std::vector<serve::ServiceStats> out;
+        out.reserve(shards_.size());
         for(auto const& shard : shards_)
-        {
-            auto s = shard->stats();
-            out.queued += s.queued;
-            out.inFlight += s.inFlight;
-            out.admitted += s.admitted;
-            out.rejected += s.rejected;
-            out.completed += s.completed;
-            out.failed += s.failed;
-            out.latencyCounts.merge(s.latencyCounts);
-            out.queueWaitCounts.merge(s.queueWaitCounts);
-            out.perShard.push_back(std::move(s));
-        }
-        out.latency = out.latencyCounts.snapshot();
-        out.queueWait = out.queueWaitCounts.snapshot();
+            out.push_back(shard->stats());
         return out;
     }
 } // namespace alpaka::net

@@ -42,9 +42,6 @@ namespace alpaka::obs
     struct AdminPlaneOptions
     {
         HealthThresholds thresholds{};
-        //! Collector cap: a live Capture stream is bounded no matter
-        //! how long tracing ran between drains.
-        std::size_t traceCapEvents = 1 << 20;
     };
 
     class AdminPlane : public net::AdminProvider
@@ -93,7 +90,9 @@ namespace alpaka::obs
         HealthThresholds thresholds_;
         HealthModel model_;
         RateWindow window_; //!< StatsSnapshot's own rate window
-        Collector collector_;
+        //! Capped at 1 << 20 events: a live Capture stream is bounded no
+        //! matter how long tracing ran between drains.
+        Collector collector_{std::size_t{1} << 20};
         std::uint64_t snapshots_ = 0;
         std::mutex mutex_;
     };

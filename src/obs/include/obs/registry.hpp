@@ -1,9 +1,8 @@
 /// \file obs::Registry — the unified metrics registry (DESIGN.md §10.4).
 ///
 /// Every layer grew its own introspection struct — serve::ServiceStats,
-/// net::FrontDoorStats, net::RouterStats, mempool::PoolStats, the
-/// threadpool's park/steal counters, the fault registry's hit/fire
-/// totals. Each is the right *source* (a coherent snapshot taken by the
+/// net::FrontDoorStats, mempool::PoolStats, the threadpool's park/steal
+/// counters, the fault registry's hit/fire totals. Each is the right *source* (a coherent snapshot taken by the
 /// layer that owns the data), but exporters need one *sink*: a flat,
 /// mergeable set of named samples behind one pull interface. The
 /// registry is that sink — `collect(...)` overloads absorb each stats
@@ -12,8 +11,8 @@
 /// discipline serve::LatencyCounts established in §9.3), and
 /// `exposition()` dumps the whole thing as text. The Router fleet view
 /// IS a registry merge: collect each shard's ServiceStats into one
-/// registry and the sums fall out of the data model instead of bespoke
-/// aggregation code.
+/// registry and the sums fall out of the data model — it is the only
+/// cross-shard aggregation in the stack.
 ///
 /// The registry is pull-only and unsynchronized by design: build one on
 /// demand from the layers' snapshot calls, read it, throw it away. The
@@ -24,6 +23,7 @@
 #include "serve/types.hpp"
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,7 +36,6 @@ namespace alpaka::mempool
 namespace alpaka::net
 {
     struct FrontDoorStats;
-    struct RouterStats;
 }
 
 namespace threadpool
@@ -103,10 +102,10 @@ namespace alpaka::obs
     void collect(Registry& reg, serve::ServiceStats const& s, std::string_view labels = {});
     void collect(Registry& reg, mempool::PoolStats const& s, std::string_view labels = {});
     void collect(Registry& reg, net::FrontDoorStats const& s, std::string_view labels = {});
-    //! The fleet view: per-shard ServiceStats collected into ONE
-    //! registry — fleet totals are the registry's merge semantics, and
-    //! they agree with RouterStats' bespoke sums (pinned by test).
-    void collect(Registry& reg, net::RouterStats const& s);
+    //! The fleet view (net::Router::stats()): every shard's ServiceStats
+    //! collected unlabeled into ONE registry, so fleet totals are the
+    //! registry's merge semantics, plus a `router_shards` gauge.
+    void collect(Registry& reg, std::span<serve::ServiceStats const> shards);
     void collect(Registry& reg, threadpool::PoolCounters const& s, std::string_view labels = {});
     //! Span-ring health from core/trace.hpp: events recorded/dropped,
     //! registered threads, table overflow.

@@ -50,17 +50,16 @@ namespace alpaka::obs
         : router_(router)
         , thresholds_(resolveThresholds(router, options.thresholds))
         , model_(thresholds_)
-        , collector_(options.traceCapEvents)
     {
     }
 
     auto AdminPlane::scrapeLocked() -> Registry
     {
         Registry reg;
-        auto const rs = router_.stats();
-        reg.gauge("router_shards", double(rs.perShard.size()));
-        for(std::size_t i = 0; i < rs.perShard.size(); ++i)
-            collect(reg, rs.perShard[i], "shard=" + std::to_string(i));
+        auto const shards = router_.stats();
+        reg.gauge("router_shards", double(shards.size()));
+        for(std::size_t i = 0; i < shards.size(); ++i)
+            collect(reg, shards[i], "shard=" + std::to_string(i));
         collectTrace(reg);
         collectFault(reg);
         return reg;

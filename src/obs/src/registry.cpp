@@ -7,7 +7,6 @@
 #include "alpaka/core/trace.hpp"
 #include "mempool/pool.hpp"
 #include "net/front_door.hpp"
-#include "net/router.hpp"
 #include "threadpool/thread_pool.hpp"
 
 #include <cinttypes>
@@ -285,15 +284,13 @@ namespace alpaka::obs
         }
     }
 
-    void collect(Registry& reg, net::RouterStats const& s)
+    void collect(Registry& reg, std::span<serve::ServiceStats const> shards)
     {
         // The fleet view IS the merge: absorbing every shard's stats
         // unlabeled makes counters sum and histograms bucket-merge by
-        // the registry's own semantics — no bespoke aggregation, and it
-        // agrees exactly with RouterStats' precomputed sums (pinned by
-        // test_registry).
-        reg.gauge("router_shards", double(s.perShard.size()));
-        for(auto const& shard : s.perShard)
+        // the registry's own semantics (pinned by test_registry).
+        reg.gauge("router_shards", double(shards.size()));
+        for(auto const& shard : shards)
             collect(reg, shard);
     }
 

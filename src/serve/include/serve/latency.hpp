@@ -1,13 +1,14 @@
 /// \file Log2-bucketed latency accounting, shared by serve::Service and
-/// the net::Router shard aggregation (DESIGN.md §6.4/§9.3).
+/// the obs::Registry fleet merge (DESIGN.md §6.4/§9.3).
 ///
 /// PR 8 lifted the histogram out of Service's private parts because the
 /// shard router needs to MERGE latency distributions: quantiles of
 /// quantiles are meaningless (the p99 of two shards' p99s is not the
 /// fleet p99), so Service::stats() now exports the raw bucket counts
-/// (LatencyCounts) next to the derived snapshot, and the router sums
-/// counts bucket-wise before deriving fleet quantiles — exact, because
-/// the buckets are identical power-of-two bins on every shard.
+/// (LatencyCounts) next to the derived snapshot, and the fleet merge
+/// (obs::Registry) sums counts bucket-wise before deriving quantiles —
+/// exact, because the buckets are identical power-of-two bins on every
+/// shard.
 #pragma once
 
 #include <algorithm>

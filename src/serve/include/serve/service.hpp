@@ -110,12 +110,11 @@ namespace alpaka::serve
         //! A worker busy on one dispatch for longer than this is declared
         //! lost by the supervisor: its in-flight futures resolve with
         //! WorkerLostError and a replacement worker takes over the slot.
+        //! The supervisor polls every stallTimeout / 4 (floor 1 ms).
         //! 0 (default) disables supervision — no supervisor thread runs,
         //! and a worker may legitimately block forever (exactly the
         //! pre-resilience behaviour).
         std::chrono::nanoseconds stallTimeout{0};
-        //! Supervisor poll period; 0 = stallTimeout / 4 (floor 1ms).
-        std::chrono::nanoseconds superviseEvery{0};
         //! Overload shedding: whenever the queued count exceeds this
         //! watermark, deadline-bearing requests are shed most-expired/
         //! oldest-deadline first (OverloadError) until the queue is back

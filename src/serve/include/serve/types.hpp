@@ -25,7 +25,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -141,9 +140,8 @@ namespace alpaka::serve
     //! points the view straight into the connection's receive slot, the
     //! kernel reads and writes those bytes in place, and the response
     //! frame is encoded from the same slot — no payload copy anywhere on
-    //! the serving path. The borrowed form is the hot path; owningCopy()
-    //! is the fallback for callers whose source buffer dies before the
-    //! future resolves (the view then keeps the copy alive by refcount).
+    //! the serving path. The caller keeps the bytes alive until the
+    //! request's future resolves.
     //!
     //! The implicit void* constructor preserves every pre-PR8 call site:
     //! a bare pointer is a borrowed view of unknown (0) size, exactly the
@@ -164,18 +162,6 @@ namespace alpaka::serve
         {
         }
 
-        //! Owning fallback: copies \p size bytes of \p src into a block
-        //! the view (and every Pending copy of it) keeps alive.
-        [[nodiscard]] static auto owningCopy(void const* src, std::size_t size) -> PayloadView
-        {
-            PayloadView v;
-            v.owner_ = std::shared_ptr<std::byte[]>(new std::byte[size]);
-            std::memcpy(v.owner_.get(), src, size);
-            v.data_ = v.owner_.get();
-            v.size_ = size;
-            return v;
-        }
-
         [[nodiscard]] auto data() const noexcept -> void*
         {
             return data_;
@@ -184,16 +170,10 @@ namespace alpaka::serve
         {
             return size_;
         }
-        //! True for the owning fallback, false for borrowed views.
-        [[nodiscard]] auto owning() const noexcept -> bool
-        {
-            return owner_ != nullptr;
-        }
 
     private:
         void* data_ = nullptr;
         std::size_t size_ = 0;
-        std::shared_ptr<std::byte[]> owner_;
     };
 
     //! One unit of client work against a registered template — the full
@@ -410,7 +390,7 @@ namespace alpaka::serve
         double requestsPerSecond = 0.0; //!< completed / lifetime
         LatencySnapshot latency;
         //! The raw histogram behind `latency` — the mergeable form the
-        //! net::Router sums across shards (quantiles do not merge,
+        //! obs::Registry sums across shards (quantiles do not merge,
         //! buckets do; DESIGN.md §9.3).
         LatencyCounts latencyCounts;
         //! Admission→dispatch wait per request — the queue-pressure

@@ -1050,11 +1050,8 @@ namespace alpaka::serve
 
     void Service::supervisorLoop()
     {
-        auto interval = options_.superviseEvery;
-        if(interval.count() <= 0)
-            interval = std::max(
-                options_.stallTimeout / 4,
-                std::chrono::nanoseconds(std::chrono::milliseconds(1)));
+        auto const interval
+            = std::max(options_.stallTimeout / 4, std::chrono::nanoseconds(std::chrono::milliseconds(1)));
         std::unique_lock lock(mutex_);
         while(!stop_.load(std::memory_order_acquire))
         {
@@ -1159,11 +1156,10 @@ namespace alpaka::serve
         auto const* const view = per->cell;
         if(view == nullptr || index >= view->size())
             return; // the frozen job spans maxBatch; this dispatch is smaller
+        if(per->itemErrors[index] != nullptr)
+            return; // failed by the serve.kernel_throw site (execute())
         try
         {
-            // Fault site: a kernel body that throws — must fail exactly
-            // this request's future, nothing else (invariant 15).
-            ALPAKA_FAULT_POINT("serve.kernel_throw");
             tmpl->desc.body((*view)[index]);
         }
         catch(...)
@@ -1255,6 +1251,22 @@ namespace alpaka::serve
             }
             else
             {
+                // Fault site: a kernel body that throws — must fail
+                // exactly this request's future, nothing else (invariant
+                // 15). Hit here in batch order, not inside the parallel
+                // job, so a seed fails the same requests however the
+                // pool interleaves.
+                for(std::size_t i = 0; i < count; ++i)
+                {
+                    try
+                    {
+                        ALPAKA_FAULT_POINT("serve.kernel_throw");
+                    }
+                    catch(...)
+                    {
+                        per->itemErrors[i] = std::current_exception();
+                    }
+                }
                 pool_->runPrebuilt(per->job);
             }
         }

@@ -43,7 +43,6 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -160,7 +159,7 @@ namespace threadpool
         //! no per-call setup at all. The referenced callable must outlive
         //! every run of the job (the descriptor stores its address, like
         //! parallelForTemplated does for the duration of one call).
-        //! Built by prebuild(); submitted by runPrebuilt()/runBatch().
+        //! Built by prebuild(); submitted by runPrebuilt().
         class PrebuiltJob
         {
         public:
@@ -198,15 +197,6 @@ namespace threadpool
                 return;
             runJob(job.count_, job.grain_, job.ctx_, job.run_);
         }
-
-        //! Submits up to slotCount pre-built jobs *concurrently* from one
-        //! calling thread: each job gets its own ring slot, so the jobs
-        //! overlap through the ordinary worker stealing instead of running
-        //! one-after-another; blocks until every job drained. Jobs beyond
-        //! the slots acquirable right now run in later rounds. Errors are
-        //! confined per job as usual; the first one (in batch order)
-        //! rethrows after the whole batch completed.
-        void runBatch(std::span<PrebuiltJob const> jobs);
 
         [[nodiscard]] auto workerCount() const noexcept -> std::size_t
         {
@@ -309,19 +299,10 @@ namespace threadpool
         //! one; workers register in workerLoop.
         void drainSlot(JobSlot& slot);
 
-        //! Acquires a publishable slot: the caller's affinity hint first,
-        //! then a try-lock ticket scan; when \p blocking, falls back to a
-        //! blocking lock on the first non-held ticket slot, otherwise
-        //! returns npos. \p held marks slots the calling thread already
-        //! holds (runBatch) — they must be skipped, a thread re-locking
-        //! its own slot mutex would be undefined behaviour.
-        auto acquireSlot(std::unique_lock<std::mutex>& lock, bool blocking, std::array<bool, slotCount> const& held)
-            -> std::size_t;
-        //! Writes the descriptor into an acquired (closed, quiescent) slot
-        //! and opens it (generation bump + publish advertisement).
-        void publishInto(JobSlot& slot, std::size_t count, std::size_t grain, void const* ctx, ChunkFn run);
-        //! Waits for remaining == 0, closes the slot, quiesces active.
-        void awaitCloseQuiesce(JobSlot& slot);
+        //! Acquires and locks a publishable slot: the caller's affinity
+        //! hint first, then a try-lock ticket scan, then a blocking lock
+        //! on the ticket slot.
+        auto acquireSlot(std::unique_lock<std::mutex>& lock) -> std::size_t;
 
         int spinBudget_ = detail::spinBeforePark;
 

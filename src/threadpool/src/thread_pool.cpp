@@ -72,19 +72,15 @@ namespace threadpool
         return pool;
     }
 
-    auto ThreadPool::acquireSlot(
-        std::unique_lock<std::mutex>& lock,
-        bool blocking,
-        std::array<bool, slotCount> const& held) -> std::size_t
+    auto ThreadPool::acquireSlot(std::unique_lock<std::mutex>& lock) -> std::size_t
     {
         // Affinity hint first: the slot this thread published into last
         // time. One uncontended try-lock instead of ticket fetch_add +
         // scan; under many streams each stream sticks to "its" slot and
         // the submitters stop migrating over the ring.
-        if(t_lastSlot != npos && !held[t_lastSlot])
+        if(t_lastSlot != npos)
         {
-            auto& hinted = slots_[t_lastSlot];
-            std::unique_lock<std::mutex> tryLock(hinted.submitMutex, std::try_to_lock);
+            std::unique_lock<std::mutex> tryLock(slots_[t_lastSlot].submitMutex, std::try_to_lock);
             if(tryLock.owns_lock())
             {
                 lock = std::move(tryLock);
@@ -99,8 +95,6 @@ namespace threadpool
         for(std::size_t i = 0; i < slotCount; ++i)
         {
             auto const index = (start + i) % slotCount;
-            if(held[index])
-                continue;
             std::unique_lock<std::mutex> tryLock(slots_[index].submitMutex, std::try_to_lock);
             if(tryLock.owns_lock())
             {
@@ -109,23 +103,20 @@ namespace threadpool
                 return index;
             }
         }
-        if(!blocking)
-            return npos;
-        for(std::size_t i = 0; i < slotCount; ++i)
-        {
-            auto const index = (start + i) % slotCount;
-            if(held[index])
-                continue;
-            lock = std::unique_lock<std::mutex>(slots_[index].submitMutex);
-            t_lastSlot = index;
-            return index;
-        }
-        // Unreachable: callers never hold all slots while asking for one.
-        throw UsageError("threadpool::ThreadPool: no acquirable slot");
+        auto const index = start % slotCount;
+        lock = std::unique_lock<std::mutex>(slots_[index].submitMutex);
+        t_lastSlot = index;
+        return index;
     }
 
-    void ThreadPool::publishInto(JobSlot& slot, std::size_t count, std::size_t grain, void const* ctx, ChunkFn run)
+    void ThreadPool::runJob(std::size_t count, std::size_t grain, void const* ctx, ChunkFn run)
     {
+        if(t_workerIndex != npos || t_insideLoop)
+            throw UsageError("threadpool::ThreadPool::parallelFor: re-entrant call");
+        LoopScope const scope;
+
+        std::unique_lock<std::mutex> slotLock;
+        auto& slot = slots_[acquireSlot(slotLock)];
         // Invariant under the slot mutex: the slot's generation is even
         // (closed) and no worker is registered on it — the previous holder
         // closed it and drained its active count before unlocking.
@@ -146,10 +137,13 @@ namespace threadpool
         publishWord_.publish();
         jobs_.fetch_add(1, std::memory_order_relaxed);
         ALPAKA_TRACE_INSTANT("threadpool.publish", count);
-    }
 
-    void ThreadPool::awaitCloseQuiesce(JobSlot& slot)
-    {
+        // The submitting thread helps: on a single-core machine the pool
+        // worker and the submitter share the CPU anyway, and helping keeps
+        // the latency of tiny loops low. It also bounds every job's
+        // completion independently of the workers — a job never waits on
+        // chunks of another submitter's job.
+        drainSlot(slot);
         detail::awaitZero(slot.remaining, spinBudget_);
         // Close the slot (odd -> even), then wait until every registered
         // worker left the claim loop. A worker that validated against the
@@ -159,90 +153,8 @@ namespace threadpool
         // holder of the slot mutex.
         slot.generation.fetch_add(1, std::memory_order_seq_cst);
         detail::awaitZero(slot.active, spinBudget_);
-    }
 
-    void ThreadPool::runJob(std::size_t count, std::size_t grain, void const* ctx, ChunkFn run)
-    {
-        if(t_workerIndex != npos || t_insideLoop)
-            throw UsageError("threadpool::ThreadPool::parallelFor: re-entrant call");
-        LoopScope const scope;
-
-        std::unique_lock<std::mutex> slotLock;
-        std::array<bool, slotCount> const noneHeld{};
-        auto* const slot = &slots_[acquireSlot(slotLock, /*blocking=*/true, noneHeld)];
-        publishInto(*slot, count, grain, ctx, run);
-
-        // The submitting thread helps: on a single-core machine the pool
-        // worker and the submitter share the CPU anyway, and helping keeps
-        // the latency of tiny loops low. It also bounds every job's
-        // completion independently of the workers — a job never waits on
-        // chunks of another submitter's job.
-        drainSlot(*slot);
-        awaitCloseQuiesce(*slot);
-
-        slot->errors.rethrowIfSetAndClear();
-    }
-
-    void ThreadPool::runBatch(std::span<PrebuiltJob const> jobs)
-    {
-        if(t_workerIndex != npos || t_insideLoop)
-            throw UsageError("threadpool::ThreadPool::runBatch: re-entrant call");
-        LoopScope const scope;
-
-        std::size_t published = 0; // jobs completed in earlier rounds
-        std::exception_ptr firstError{};
-        while(published < jobs.size())
-        {
-            // One round: the first pending job gets a slot unconditionally
-            // (blocking fallback guarantees progress), the rest of the
-            // round joins only on cheaply acquirable slots. All jobs of a
-            // round are open simultaneously, so the workers' ordinary
-            // cross-slot stealing overlaps them.
-            std::array<JobSlot*, slotCount> slots{};
-            std::array<std::unique_lock<std::mutex>, slotCount> locks;
-            std::array<bool, slotCount> held{};
-            std::size_t roundSize = 0;
-            while(published + roundSize < jobs.size() && roundSize < slotCount)
-            {
-                auto const& job = jobs[published + roundSize];
-                if(job.count_ == 0)
-                {
-                    slots[roundSize++] = nullptr; // vacuously complete
-                    continue;
-                }
-                auto const index = acquireSlot(locks[roundSize], /*blocking=*/roundSize == 0, held);
-                if(index == npos)
-                    break;
-                held[index] = true;
-                publishInto(slots_[index], job.count_, job.grain_, job.ctx_, job.run_);
-                slots[roundSize++] = &slots_[index];
-            }
-            // Help drain every job of the round, then retire them in
-            // order. Draining all before waiting on any keeps the
-            // submitter useful while workers finish the stragglers.
-            for(std::size_t i = 0; i < roundSize; ++i)
-                if(slots[i] != nullptr)
-                    drainSlot(*slots[i]);
-            for(std::size_t i = 0; i < roundSize; ++i)
-            {
-                if(slots[i] == nullptr)
-                    continue;
-                awaitCloseQuiesce(*slots[i]);
-                try
-                {
-                    slots[i]->errors.rethrowIfSetAndClear();
-                }
-                catch(...)
-                {
-                    if(firstError == nullptr)
-                        firstError = std::current_exception();
-                }
-                locks[i].unlock();
-            }
-            published += roundSize;
-        }
-        if(firstError != nullptr)
-            std::rethrow_exception(firstError);
+        slot.errors.rethrowIfSetAndClear();
     }
 
     void ThreadPool::drainSlot(JobSlot& slot)

@@ -5,6 +5,7 @@
 // compiled in and skip unless ALPAKA_REPRO_FAULTINJECT=ON.
 
 #include "alpaka/core/fault.hpp"
+#include "alpaka/core/hash.hpp"
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <new>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -92,6 +94,26 @@ TEST(FaultDecides, BoundaryProbabilities)
 {
     EXPECT_TRUE(Plan::decides(1, "s", Trigger::withProbability(1.0), 7));
     EXPECT_FALSE(Plan::decides(1, "s", Trigger::withProbability(0.0), 7));
+}
+
+// The fault plan and the router's ring share one FNV-1a and one mixer
+// (alpaka/core/hash.hpp); these values pin both, so recorded chaos seeds
+// and tenant placements replay across releases.
+TEST(FaultDecides, HashesAndSchedulesArePinned)
+{
+    using alpaka::core::fnv1a;
+    using alpaka::core::mix64;
+    EXPECT_EQ(fnv1a("serve.kernel_throw"), 0xe37d66cb125478f0ULL);
+    EXPECT_EQ(mix64(fnv1a("tenant-0")), 0x30a446adc7db6d64ULL);
+    EXPECT_EQ(mix64(fnv1a("shard/0/0")), 0x0dce5c3104764b25ULL);
+
+    // The seeds of 1..40 whose first serve.kernel_throw hit fires at
+    // p = 0.25.
+    std::set<std::uint64_t> firstHitFires;
+    for(std::uint64_t seed = 1; seed <= 40; ++seed)
+        if(Plan::decides(seed, "serve.kernel_throw", Trigger::withProbability(0.25), 1))
+            firstHitFires.insert(seed);
+    EXPECT_EQ(firstHitFires, (std::set<std::uint64_t>{5, 17, 25, 26, 32, 40}));
 }
 
 // ---------------------------------------------------------------- live sites

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -86,10 +87,20 @@ namespace
             return d;
         }
 
-        void awaitStarted() const
+        //! Bounded: a gate body that never starts (say, its dispatch was
+        //! failed by an armed rule) fails the test instead of spinning.
+        void awaitStarted()
         {
+            auto const deadline = std::chrono::steady_clock::now() + 10s;
             while(!started.load(std::memory_order_acquire))
+            {
+                if(std::chrono::steady_clock::now() > deadline)
+                {
+                    release.store(true, std::memory_order_release);
+                    throw std::runtime_error("gate body did not start within 10 s");
+                }
                 std::this_thread::sleep_for(1ms);
+            }
         }
     };
 
@@ -223,9 +234,6 @@ TEST(ChaosService, SeededChaosIsBitReproducible)
     constexpr std::size_t requestCount = 48;
     auto const run = [&]() -> std::vector<int>
     {
-        fault::Plan plan(seed);
-        plan.fail("serve.kernel_throw", fault::Trigger::withProbability(0.25));
-
         Gate gate;
         serve::ServiceOptions options;
         options.cpuWorkers = 0;
@@ -237,6 +245,10 @@ TEST(ChaosService, SeededChaosIsBitReproducible)
         int gatePayload = 0;
         auto gateFuture = svc.submit(gateId, "gate", &gatePayload);
         gate.awaitStarted();
+        // Armed only now: a rule live before the gate runs could fail the
+        // gate's own dispatch, and its body would never start.
+        fault::Plan plan(seed);
+        plan.fail("serve.kernel_throw", fault::Trigger::withProbability(0.25));
 
         // The queue now forms from this one thread: submission order,
         // tenant rotation and batching are all deterministic.

@@ -566,7 +566,7 @@ TEST(GpusimMemory, FreeOfUnknownPointerIsTypedAndCountsStayExact)
 TEST(MemPool, TrimRacingConcurrentFreeKeepsAccountingExact)
 {
     CountingUpstream upstream;
-    mempool::Pool pool(upstream.upstream(), {.minBlockBytes = 256});
+    mempool::Pool pool(upstream.upstream());
 
     constexpr std::size_t churnThreads = 3;
     constexpr int rounds = 400;

@@ -1,9 +1,8 @@
 /// \file obs::Registry semantics (DESIGN.md §10.4): upsert keying by
 /// name+labels+kind, counter/gauge/histogram update rules, registry
 /// merge (counters and gauges sum, histograms bucket-merge), text
-/// exposition shape, and the stats absorbers — including the pinned
-/// agreement between the router's bespoke fleet sums and the registry
-/// merge of its per-shard collects.
+/// exposition shape, and the stats absorbers — including the fleet view
+/// over net::Router::stats(), the stack's only cross-shard merge.
 #include <obs/registry.hpp>
 
 #include <net/router.hpp>
@@ -15,6 +14,8 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 using namespace alpaka;
 
@@ -191,46 +192,131 @@ namespace
     }
 } // namespace
 
-//! The router's precomputed fleet sums and the registry merge of its
-//! per-shard collects must agree exactly — the fleet view IS a merge.
-TEST(Registry, RouterFleetViewAgreesWithBespokeSums)
+namespace
 {
-    net::RouterOptions opt;
-    opt.shards = 3;
-    opt.shard.cpuWorkers = 1;
-    opt.shard.queueCapacity = 64;
-    net::Router router(opt);
-    auto const tmpl = router.registerTemplate(doublingTemplate());
-
-    double payloads[64];
-    for(int i = 0; i < 64; ++i)
+    //! Serves 300 requests from tenant-0..9 on a 3-shard router (the
+    //! tenant set reaches every shard), checks every payload, and returns
+    //! the drained shards' snapshots.
+    [[nodiscard]] auto servedFleetStats() -> std::vector<serve::ServiceStats>
     {
-        payloads[i] = double(i);
-        serve::Request req;
-        req.tmpl = tmpl;
-        req.tenant = (i % 2) != 0 ? "tenant-odd" : "tenant-even";
-        req.payload = serve::PayloadView(&payloads[i], sizeof(double));
-        router.submit(req).wait();
+        net::RouterOptions opt;
+        opt.shards = 3;
+        opt.shard.cpuWorkers = 1;
+        opt.shard.queueCapacity = 64;
+        net::Router router(opt);
+        auto const tmpl = router.registerTemplate(doublingTemplate());
+
+        std::vector<double> payloads(300);
+        for(std::size_t i = 0; i < payloads.size(); ++i)
+        {
+            payloads[i] = double(i);
+            serve::Request req;
+            req.tmpl = tmpl;
+            auto const tenant = "tenant-" + std::to_string(i % 10);
+            req.tenant = tenant;
+            req.payload = serve::PayloadView(&payloads[i], sizeof(double));
+            router.submit(req).wait();
+        }
+        router.drain();
+        for(std::size_t i = 0; i < payloads.size(); ++i)
+            EXPECT_DOUBLE_EQ(payloads[i], 2.0 * double(i)) << "request " << i;
+        return router.stats();
     }
-    router.drain();
+} // namespace
 
-    auto const stats = router.stats();
+//! The registry is the only cross-shard merge: over Router::stats(),
+//! fleet counters are the per-shard sums and fleet histograms the
+//! bucket-wise sums of the per-shard counts.
+TEST(Registry, RouterFleetViewIsTheShardSum)
+{
+    auto const shards = servedFleetStats();
+    ASSERT_EQ(shards.size(), 3U);
     obs::Registry reg;
-    obs::collect(reg, stats);
+    obs::collect(reg, shards);
 
+    std::uint64_t admitted = 0;
+    std::uint64_t completed = 0;
+    serve::LatencyCounts latency;
+    serve::LatencyCounts queueWait;
+    for(std::size_t s = 0; s < shards.size(); ++s)
+    {
+        EXPECT_GT(shards[s].completed, 0U) << "shard " << s << " served nothing";
+        admitted += shards[s].admitted;
+        completed += shards[s].completed;
+        for(std::size_t b = 0; b < serve::LatencyCounts::bucketCount; ++b)
+        {
+            latency.counts[b] += shards[s].latencyCounts.counts[b];
+            queueWait.counts[b] += shards[s].queueWaitCounts.counts[b];
+        }
+    }
+    EXPECT_EQ(completed, 300U);
     EXPECT_DOUBLE_EQ(reg.value("router_shards"), 3.0);
-    EXPECT_DOUBLE_EQ(reg.value("serve_admitted"), double(stats.admitted));
-    EXPECT_DOUBLE_EQ(reg.value("serve_completed"), double(stats.completed));
-    EXPECT_DOUBLE_EQ(reg.value("serve_failed"), double(stats.failed));
-    EXPECT_DOUBLE_EQ(reg.value("serve_queued"), double(stats.queued));
-    EXPECT_DOUBLE_EQ(reg.value("serve_completed"), 64.0);
-    auto const* const lat = reg.find("serve_latency");
-    ASSERT_NE(lat, nullptr);
-    EXPECT_EQ(lat->hist.total(), stats.latencyCounts.total());
-    auto const* const qw = reg.find("serve_queue_wait");
-    ASSERT_NE(qw, nullptr);
-    EXPECT_EQ(qw->hist.total(), stats.queueWaitCounts.total());
-    EXPECT_EQ(qw->hist.total(), 64U) << "queue wait is recorded per request, unconditionally";
+    EXPECT_DOUBLE_EQ(reg.value("serve_admitted"), double(admitted));
+    EXPECT_DOUBLE_EQ(reg.value("serve_completed"), double(completed));
+    for(auto const& [name, sum] : {std::pair{"serve_latency", &latency}, std::pair{"serve_queue_wait", &queueWait}})
+    {
+        auto const* const merged = reg.find(name);
+        ASSERT_NE(merged, nullptr) << name;
+        EXPECT_EQ(merged->hist.total(), 300U) << name << " is recorded per request";
+        for(std::size_t b = 0; b < serve::LatencyCounts::bucketCount; ++b)
+            EXPECT_EQ(merged->hist.counts[b], sum->counts[b]) << name << " bucket " << b;
+    }
+}
+
+//! The fleet view's sample set: a router_shards gauge, then every shard's
+//! ServiceStats collected unlabeled into one registry — the same names,
+//! labels, kinds, values and exposition as that composition by hand.
+TEST(Registry, RouterFleetViewKeepsItsSamples)
+{
+    auto const shards = servedFleetStats();
+    obs::Registry reg;
+    obs::collect(reg, shards);
+
+    obs::Registry expected;
+    expected.gauge("router_shards", double(shards.size()));
+    for(auto const& shard : shards)
+        obs::collect(expected, shard);
+
+    ASSERT_EQ(reg.samples().size(), expected.samples().size());
+    for(std::size_t i = 0; i < reg.samples().size(); ++i)
+    {
+        auto const& got = reg.samples()[i];
+        auto const& want = expected.samples()[i];
+        EXPECT_EQ(got.name, want.name) << "sample " << i;
+        EXPECT_EQ(got.labels, want.labels) << got.name;
+        EXPECT_EQ(got.kind, want.kind) << got.name;
+        EXPECT_DOUBLE_EQ(got.value, want.value) << got.name;
+        EXPECT_EQ(got.hist.counts, want.hist.counts) << got.name;
+    }
+    EXPECT_EQ(reg.exposition(), expected.exposition());
+
+    std::vector<std::string> const serveFamily{
+        "router_shards",
+        "serve_queued",
+        "serve_in_flight",
+        "serve_admitted",
+        "serve_rejected",
+        "serve_completed",
+        "serve_failed",
+        "serve_batches",
+        "serve_shed_expired",
+        "serve_shed_cancelled",
+        "serve_shed_overload",
+        "serve_workers_lost",
+        "serve_worker_restarts",
+        "serve_latency",
+        "serve_queue_wait"};
+    ASSERT_GE(reg.samples().size(), serveFamily.size());
+    for(std::size_t i = 0; i < serveFamily.size(); ++i)
+    {
+        EXPECT_EQ(reg.samples()[i].name, serveFamily[i]);
+        EXPECT_EQ(reg.samples()[i].labels, "");
+    }
+    for(std::size_t i = serveFamily.size(); i < reg.samples().size(); ++i)
+    {
+        EXPECT_EQ(reg.samples()[i].name.rfind("mempool_", 0), 0U) << reg.samples()[i].name;
+        EXPECT_EQ(reg.samples()[i].labels.rfind("dev=", 0), 0U) << reg.samples()[i].labels;
+    }
 }
 
 TEST(Registry, TraceAndFaultCollectorsAlwaysPresent)

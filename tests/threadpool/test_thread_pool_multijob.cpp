@@ -11,12 +11,10 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <barrier>
 #include <chrono>
 #include <cstddef>
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -277,9 +275,8 @@ TEST(ThreadPoolMultiJob, MixedJobAndTeamTrafficCoexists)
 }
 
 // ---------------------------------------------------------------------
-// Pre-built jobs and batch submission (DESIGN.md §4.3: the graph replay
-// engine submits its frozen job descriptor per replay; runBatch opens
-// several pre-built jobs concurrently from one thread).
+// Pre-built jobs (DESIGN.md §4.3: the graph replay engine submits its
+// frozen job descriptor per replay).
 
 TEST(ThreadPoolPrebuilt, PrebuiltJobRunsRepeatedlyWithExactCoverage)
 {
@@ -305,94 +302,6 @@ TEST(ThreadPoolPrebuilt, EmptyPrebuiltIsNoop)
     auto const job = pool.prebuild(0, body);
     EXPECT_NO_THROW(pool.runPrebuilt(job));
     EXPECT_EQ(runs, 0);
-}
-
-TEST(ThreadPoolBatch, BatchCoversEveryJobExactlyOnce)
-{
-    threadpool::ThreadPool pool(3);
-    constexpr std::size_t jobCount = 12; // > slotCount: forces rounds
-    constexpr std::size_t count = 41;
-    std::vector<std::vector<std::atomic<std::uint8_t>>> visits(jobCount);
-    for(auto& v : visits)
-    {
-        std::vector<std::atomic<std::uint8_t>> fresh(count);
-        v.swap(fresh);
-    }
-    std::vector<std::function<void(std::size_t)>> bodies;
-    bodies.reserve(jobCount);
-    for(std::size_t j = 0; j < jobCount; ++j)
-        bodies.emplace_back([&visits, j](std::size_t i) { visits[j][i].fetch_add(1); });
-    std::vector<threadpool::ThreadPool::PrebuiltJob> jobs;
-    jobs.reserve(jobCount);
-    for(std::size_t j = 0; j < jobCount; ++j)
-        jobs.push_back(pool.prebuild(count, bodies[j]));
-
-    pool.runBatch(jobs);
-    for(std::size_t j = 0; j < jobCount; ++j)
-        for(std::size_t i = 0; i < count; ++i)
-            EXPECT_EQ(visits[j][i].load(), 1u) << "job " << j << " index " << i;
-}
-
-TEST(ThreadPoolBatch, JobsOfOneBatchOverlap)
-{
-    // Job A's body blocks until job B's body ran: only concurrent
-    // execution of both batch members (submitter drains A, a worker
-    // steals B) can complete the batch.
-    threadpool::ThreadPool pool(2);
-    std::atomic<bool> released{false};
-    std::atomic<bool> observed{false};
-    auto const waiter = [&](std::size_t)
-    {
-        auto const deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-        while(!released.load() && std::chrono::steady_clock::now() < deadline)
-            std::this_thread::yield();
-        observed = released.load();
-    };
-    auto const releaser = [&](std::size_t) { released = true; };
-    std::array<threadpool::ThreadPool::PrebuiltJob, 2> jobs{
-        pool.prebuild(1, waiter),
-        pool.prebuild(1, releaser)};
-    pool.runBatch(jobs);
-    EXPECT_TRUE(observed.load()) << "batch jobs did not overlap";
-}
-
-TEST(ThreadPoolBatch, ErrorsStayConfinedAndFirstRethrows)
-{
-    threadpool::ThreadPool pool(2);
-    std::atomic<int> completed{0};
-    auto const good = [&](std::size_t) { completed.fetch_add(1); };
-    auto const bad = [](std::size_t) { throw std::runtime_error("batch job failed"); };
-    std::array<threadpool::ThreadPool::PrebuiltJob, 3> jobs{
-        pool.prebuild(8, good),
-        pool.prebuild(4, bad),
-        pool.prebuild(8, good)};
-    EXPECT_THROW(pool.runBatch(jobs), std::runtime_error);
-    EXPECT_EQ(completed.load(), 16) << "sibling batch jobs must still complete fully";
-    // The pool stays healthy afterwards.
-    std::atomic<int> after{0};
-    pool.parallelFor(10, [&](std::size_t) { after.fetch_add(1); });
-    EXPECT_EQ(after.load(), 10);
-}
-
-TEST(ThreadPoolBatch, ReentrantBatchRejected)
-{
-    threadpool::ThreadPool pool(1);
-    std::atomic<bool> typed{false};
-    pool.parallelFor(
-        1,
-        [&](std::size_t)
-        {
-            try
-            {
-                std::array<threadpool::ThreadPool::PrebuiltJob, 1> jobs{};
-                pool.runBatch(jobs);
-            }
-            catch(threadpool::UsageError const&)
-            {
-                typed = true;
-            }
-        });
-    EXPECT_TRUE(typed.load());
 }
 
 // ---------------------------------------------------------------------
