@@ -18,12 +18,16 @@ namespace alpaka::graph
         nodes_.resize(nodeCount);
         firstSub_.resize(nodeCount);
 
-        // Chunk grain of range (kernel) nodes: about two subtasks per
-        // worker for fat kernels, but never below minChunkGrain blocks per
-        // subtask — submission-bound graphs (tiny grids) must not pay a
-        // ring push/pop per block, and spreading an 8-block kernel over 16
-        // workers buys nothing.
-        auto const workers = std::max<std::size_t>(1, pool.workerCount());
+        // Chunk grain of range (kernel) nodes: the pool's own rule of 8
+        // chunks per participant (DESIGN.md §3.1), counting the driver —
+        // it always helps run its own replay — beside the workers. Small
+        // lumps let every thread in the pool, other streams' drivers
+        // included, take a share of each replay: a 256-block node on a
+        // 1-worker pool becomes 16 subtasks of 16 blocks.
+        // Never below minChunkGrain blocks per subtask: submission-bound
+        // graphs (tiny grids) must not pay a ring push/pop per block, and
+        // spreading an 8-block kernel over 16 workers buys nothing.
+        auto const participants = pool.workerCount() + 1;
         constexpr std::size_t minChunkGrain = 8;
 
         std::vector<std::vector<NodeId>> successors(nodeCount);
@@ -59,7 +63,7 @@ namespace alpaka::graph
             firstSub_[i] = static_cast<std::uint32_t>(subtasks_.size());
             if(from.range != nullptr && from.rangeCount > 0)
             {
-                auto const grain = std::max(minChunkGrain, from.rangeCount / (workers * 2));
+                auto const grain = std::max(minChunkGrain, from.rangeCount / (participants * 8));
                 std::uint32_t count = 0;
                 for(std::size_t begin = 0; begin < from.rangeCount; begin += grain)
                 {

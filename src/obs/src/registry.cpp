@@ -9,6 +9,7 @@
 #include "net/front_door.hpp"
 #include "threadpool/thread_pool.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -215,26 +216,12 @@ namespace alpaka::obs
         return out;
     }
 
-    void collect(Registry& reg, serve::ServiceStats const& s, std::string_view labels)
+    namespace
     {
-        reg.gauge("serve_queued", double(s.queued), labels);
-        reg.gauge("serve_in_flight", double(s.inFlight), labels);
-        reg.counter("serve_admitted", double(s.admitted), labels);
-        reg.counter("serve_rejected", double(s.rejected), labels);
-        reg.counter("serve_completed", double(s.completed), labels);
-        reg.counter("serve_failed", double(s.failed), labels);
-        reg.counter("serve_batches", double(s.batches), labels);
-        reg.counter("serve_shed_expired", double(s.shedExpired), labels);
-        reg.counter("serve_shed_cancelled", double(s.shedCancelled), labels);
-        reg.counter("serve_shed_overload", double(s.shedOverload), labels);
-        reg.counter("serve_workers_lost", double(s.workersLost), labels);
-        reg.counter("serve_worker_restarts", double(s.workerRestarts), labels);
-        reg.histogram("serve_latency", s.latencyCounts, labels);
-        reg.histogram("serve_queue_wait", s.queueWaitCounts, labels);
-        for(auto const& pool : s.devicePools)
+        //! Device pools carry their own label dimension; a caller label
+        //! (e.g. shard) composes in front.
+        void collectDevicePool(Registry& reg, serve::DevicePoolStats const& pool, std::string_view labels)
         {
-            // Device pools carry their own label dimension; a caller
-            // label (e.g. shard) composes in front.
             std::string poolLabels(labels);
             if(!poolLabels.empty())
                 poolLabels += ',';
@@ -242,6 +229,32 @@ namespace alpaka::obs
             poolLabels += pool.device;
             collect(reg, pool.pool, poolLabels);
         }
+
+        //! Every ServiceStats sample but the device pools.
+        void collectService(Registry& reg, serve::ServiceStats const& s, std::string_view labels)
+        {
+            reg.gauge("serve_queued", double(s.queued), labels);
+            reg.gauge("serve_in_flight", double(s.inFlight), labels);
+            reg.counter("serve_admitted", double(s.admitted), labels);
+            reg.counter("serve_rejected", double(s.rejected), labels);
+            reg.counter("serve_completed", double(s.completed), labels);
+            reg.counter("serve_failed", double(s.failed), labels);
+            reg.counter("serve_batches", double(s.batches), labels);
+            reg.counter("serve_shed_expired", double(s.shedExpired), labels);
+            reg.counter("serve_shed_cancelled", double(s.shedCancelled), labels);
+            reg.counter("serve_shed_overload", double(s.shedOverload), labels);
+            reg.counter("serve_workers_lost", double(s.workersLost), labels);
+            reg.counter("serve_worker_restarts", double(s.workerRestarts), labels);
+            reg.histogram("serve_latency", s.latencyCounts, labels);
+            reg.histogram("serve_queue_wait", s.queueWaitCounts, labels);
+        }
+    } // namespace
+
+    void collect(Registry& reg, serve::ServiceStats const& s, std::string_view labels)
+    {
+        collectService(reg, s, labels);
+        for(auto const& pool : s.devicePools)
+            collectDevicePool(reg, pool, labels);
     }
 
     void collect(Registry& reg, mempool::PoolStats const& s, std::string_view labels)
@@ -290,8 +303,30 @@ namespace alpaka::obs
         // unlabeled makes counters sum and histograms bucket-merge by
         // the registry's own semantics (pinned by test_registry).
         reg.gauge("router_shards", double(shards.size()));
+        // Two exceptions. The queue gauges are levels per shard, so the
+        // fleet's level is their sum, not the last shard's. And shards
+        // share device pools (every CPU shard allocates from the one
+        // mempool::Pool::forDev(DevCpu)), so each distinct device is
+        // collected once — summing its counters per shard would count
+        // the same pool once per shard.
+        double queued = 0.0;
+        double inFlight = 0.0;
+        std::vector<std::string_view> devices;
         for(auto const& shard : shards)
-            collect(reg, shard);
+        {
+            queued += double(shard.queued);
+            inFlight += double(shard.inFlight);
+            collectService(reg, shard, {});
+            for(auto const& pool : shard.devicePools)
+            {
+                if(std::find(devices.begin(), devices.end(), pool.device) != devices.end())
+                    continue;
+                devices.push_back(pool.device);
+                collectDevicePool(reg, pool, {});
+            }
+        }
+        reg.gauge("serve_queued", queued);
+        reg.gauge("serve_in_flight", inFlight);
     }
 
     void collect(Registry& reg, threadpool::PoolCounters const& s, std::string_view labels)

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -170,6 +171,75 @@ TEST(GraphReplay, FatKernelNodeChunksAcrossWorkers)
     s.wait();
     for(Size i = 0; i < n; ++i)
         ASSERT_EQ(data[i], 2.0) << "block " << i << " not covered exactly once per replay";
+}
+
+namespace
+{
+    struct CountKernel
+    {
+        template<typename TAcc>
+        ALPAKA_FN_ACC void operator()(TAcc const& acc, std::atomic<std::uint32_t>* runs) const
+        {
+            auto const i = idx::getIdx<Grid, Blocks>(acc)[0];
+            runs[i].fetch_add(1, std::memory_order_relaxed);
+        }
+    };
+
+    //! Subtask count of a one-kernel-node graph of \p blocks blocks
+    //! instantiated on \p pool.
+    auto kernelNodeSubtasks(Size blocks, threadpool::ThreadPool& pool) -> std::size_t
+    {
+        using Acc = acc::AccCpuTaskBlocks<Dim1, Size>;
+        auto const dev = dev::DevMan<Acc>::getDevByIdx(0);
+        workdiv::WorkDivMembers<Dim1, Size> const wd(blocks, Size{1}, Size{1});
+        graph::Graph g;
+        g.addKernel({}, dev, exec::create<Acc>(wd, IotaKernel{}, static_cast<double*>(nullptr)));
+        return graph::Exec(g, pool).subtaskCount();
+    }
+} // namespace
+
+//! A range node gets 8 subtasks per replay participant — the pool's
+//! workers plus the driver — but no fewer than 8 blocks per subtask.
+TEST(GraphReplay, KernelNodeSplitCountsTheDriver)
+{
+    threadpool::ThreadPool one(1);
+    EXPECT_EQ(kernelNodeSubtasks(256, one), 16u) << "256 blocks / (2 participants x 8)";
+    EXPECT_EQ(kernelNodeSubtasks(8, one), 1u) << "a tiny grid stays one subtask";
+    threadpool::ThreadPool four(4);
+    EXPECT_EQ(kernelNodeSubtasks(256, four), 32u) << "grain floors at 8 blocks";
+    EXPECT_EQ(kernelNodeSubtasks(1000, four), 40u) << "1000 blocks / (5 participants x 8)";
+}
+
+//! Two drivers replay one Exec concurrently into a 1-worker pool, so
+//! three threads share the subtasks of two replays: every block still
+//! runs exactly once per replay.
+TEST(GraphReplay, ConcurrentDriversRunEveryBlockOncePerReplay)
+{
+    using Acc = acc::AccCpuTaskBlocks<Dim1, Size>;
+    auto const dev = dev::DevMan<Acc>::getDevByIdx(0);
+    constexpr Size n = 256;
+    constexpr std::uint32_t replaysPerDriver = 200;
+    workdiv::WorkDivMembers<Dim1, Size> const wd(n, Size{1}, Size{1});
+
+    std::vector<std::atomic<std::uint32_t>> runs(n);
+    graph::Graph g;
+    g.addKernel({}, dev, exec::create<Acc>(wd, CountKernel{}, runs.data()));
+    threadpool::ThreadPool pool(1);
+    graph::Exec exec(g, pool);
+    ASSERT_GT(exec.subtaskCount(), 2u);
+
+    auto const drive = [&]
+    {
+        stream::StreamCpuSync s(dev);
+        for(std::uint32_t r = 0; r < replaysPerDriver; ++r)
+            exec.replay(s);
+        s.wait();
+    };
+    std::thread other(drive);
+    drive();
+    other.join();
+    for(Size i = 0; i < n; ++i)
+        ASSERT_EQ(runs[i].load(), 2 * replaysPerDriver) << "block " << i;
 }
 
 // ---------------------------------------------------------------------

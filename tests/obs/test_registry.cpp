@@ -5,6 +5,7 @@
 /// over net::Router::stats(), the stack's only cross-shard merge.
 #include <obs/registry.hpp>
 
+#include <mempool/pool.hpp>
 #include <net/router.hpp>
 #include <serve/service.hpp>
 
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -196,15 +198,18 @@ namespace
 {
     //! Serves 300 requests from tenant-0..9 on a 3-shard router (the
     //! tenant set reaches every shard), checks every payload, and returns
-    //! the drained shards' snapshots.
-    [[nodiscard]] auto servedFleetStats() -> std::vector<serve::ServiceStats>
+    //! the drained shards' snapshots. Each request gets \p scratchBytes of
+    //! request-scoped scratch from the worker device's pool.
+    [[nodiscard]] auto servedFleetStats(std::size_t scratchBytes = 0) -> std::vector<serve::ServiceStats>
     {
         net::RouterOptions opt;
         opt.shards = 3;
         opt.shard.cpuWorkers = 1;
         opt.shard.queueCapacity = 64;
         net::Router router(opt);
-        auto const tmpl = router.registerTemplate(doublingTemplate());
+        auto desc = doublingTemplate();
+        desc.scratchBytes = scratchBytes;
+        auto const tmpl = router.registerTemplate(std::move(desc));
 
         std::vector<double> payloads(300);
         for(std::size_t i = 0; i < payloads.size(); ++i)
@@ -317,6 +322,50 @@ TEST(Registry, RouterFleetViewKeepsItsSamples)
         EXPECT_EQ(reg.samples()[i].name.rfind("mempool_", 0), 0U) << reg.samples()[i].name;
         EXPECT_EQ(reg.samples()[i].labels.rfind("dev=", 0), 0U) << reg.samples()[i].labels;
     }
+}
+
+//! Every CPU shard allocates its scratch from the one process-wide
+//! mempool::Pool::forDev(DevCpu): the fleet view reports that pool's own
+//! counters once, not once per shard.
+TEST(Registry, FleetViewCountsASharedDevicePoolOnce)
+{
+    auto const shards = servedFleetStats(64);
+    auto const pool = mempool::Pool::forDev(dev::DevCpu{}).stats();
+
+    std::size_t reporting = 0;
+    for(auto const& shard : shards)
+        reporting += shard.devicePools.size();
+    ASSERT_EQ(reporting, shards.size()) << "every shard reports the shared CPU pool";
+    ASSERT_GT(pool.cacheHits, 0U);
+
+    obs::Registry reg;
+    obs::collect(reg, shards);
+    auto const labels = "dev=" + dev::DevCpu{}.getName();
+    EXPECT_DOUBLE_EQ(reg.value("mempool_cache_hits", labels), double(pool.cacheHits));
+    EXPECT_DOUBLE_EQ(reg.value("mempool_cache_misses", labels), double(pool.cacheMisses));
+}
+
+//! Queue depth and in-flight count are levels per shard: the fleet's
+//! level is their sum, not the last shard's.
+TEST(Registry, FleetViewSumsTheShardLevels)
+{
+    std::vector<serve::ServiceStats> shards(3);
+    shards[0].queued = 3;
+    shards[0].inFlight = 1;
+    shards[1].queued = 5;
+    shards[1].inFlight = 2;
+    shards[2].queued = 7;
+    shards[2].inFlight = 4;
+
+    obs::Registry reg;
+    obs::collect(reg, std::span<serve::ServiceStats const>(shards));
+    EXPECT_DOUBLE_EQ(reg.value("serve_queued"), 15.0);
+    EXPECT_DOUBLE_EQ(reg.value("serve_in_flight"), 7.0);
+
+    obs::Registry labelled;
+    obs::collect(labelled, shards[2], "shard=2");
+    EXPECT_DOUBLE_EQ(labelled.value("serve_queued", "shard=2"), 7.0);
+    EXPECT_DOUBLE_EQ(labelled.value("serve_in_flight", "shard=2"), 4.0);
 }
 
 TEST(Registry, TraceAndFaultCollectorsAlwaysPresent)
