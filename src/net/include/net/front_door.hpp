@@ -18,11 +18,12 @@
 ///    one Router call, sorted by shard, so every shard admits the poll's
 ///    frames in one step (one gate, one reservation, one wake) instead
 ///    of one per frame (DESIGN.md §9.2).
-///  * Completion rides Future::then: the continuation (runs on a worker
-///    thread) writes the slot's status and flips one atomic; the poll
-///    thread picks the slot up on its next pass. The capture is one
-///    pointer, so then()'s inline continuation slot keeps the path
-///    allocation-free (serve/future.hpp).
+///  * The slot is the request's serve::Completion: the service fires its
+///    hook once, on whichever thread resolved the request (a worker, the
+///    supervisor, shutdown, or this thread for a request expired at
+///    admission); the hook writes the slot's status and release-stores
+///    one atomic, and the poll thread picks the slot up on its next
+///    pass. No future, mutex or std::function per request.
 ///  * Flow control by NOT reading: a connection whose slots are all
 ///    busy is simply not drained further — backpressure propagates
 ///    through the transport's bounded buffer to the client's window,
@@ -30,7 +31,7 @@
 ///  * Session life cycle: AwaitHello (first frame must bind a tenant)
 ///    → Open → Draining (peer sent Bye; in-flight requests finish,
 ///    responses flush, Bye is acked) → Reaping (transport closed;
-///    late continuations land harmlessly in the slot table) → Vacant.
+///    late completions land harmlessly in the slot table) → Vacant.
 ///    A protocol violation or decode error closes the connection after
 ///    a best-effort typed Error frame — a byte stream that lost frame
 ///    sync cannot be trusted further (satellite c's fuzz target).
@@ -40,7 +41,8 @@
 ///    seeded, compiled out of production builds (DESIGN.md §7.2).
 ///
 /// Thread contract: accept/poll/stats from the single poll thread;
-/// worker threads touch only slot atomics via continuations. The
+/// worker threads touch only a slot's status and state, through its
+/// completion hook. The
 /// Router (and its shards) must outlive the FrontDoor's last in-flight
 /// request — drain or shut the router down before destroying the door.
 #pragma once
@@ -268,12 +270,27 @@ namespace alpaka::net
         static constexpr std::uint8_t slotBusy = 1;
         static constexpr std::uint8_t slotDone = 2;
 
-        struct Slot
+        struct Slot : serve::Completion
         {
+            Slot() noexcept : serve::Completion(&onComplete)
+            {
+            }
+
+            //! Busy→Done: the one write of a resolving thread.
+            static void onComplete(serve::Completion& completion, std::exception_ptr error) noexcept
+            {
+                auto& slot = static_cast<Slot&>(completion);
+                slot.status = statusOf(error);
+                ALPAKA_TRACE_INSTANT("net.completion", slot.reqId);
+                slot.state.store(slotDone, std::memory_order_release);
+            }
+
             std::atomic<std::uint8_t> state{slotFree};
             Status status = Status::Ok;
-            std::uint64_t reqId = 0;
+            //! Here, not after reqId: with the hook pointer, the slot
+            //! stays at 96 bytes.
             std::uint32_t tmpl = 0;
+            std::uint64_t reqId = 0;
             std::uint32_t len = 0;
             std::uint32_t deadlineUs = 0; //!< relative to the poll's tnow; 0 = none
             std::array<std::byte, Cfg::maxPayload> payload{};
@@ -734,7 +751,8 @@ namespace alpaka::net
         //! Admits the poll's staged Request frames: sorted by shard
         //! (stably — a connection's frames keep their order), rebuilt as
         //! serve::Requests on this stack frame, admitted in one Router
-        //! call, which makes one Service admission per shard.
+        //! call, which makes one Service admission per shard. Each
+        //! request's completion is its slot.
         void admitStaged(std::chrono::steady_clock::time_point tnow)
         {
             auto const n = std::exchange(stagedCount_, std::size_t{0});
@@ -754,6 +772,7 @@ namespace alpaka::net
                 req->tenant = std::string_view(c->tenant.data(), c->tenantLen);
                 req->payload = serve::PayloadView(slot->payload.data(), slot->len);
                 req->traceId = slot->reqId;
+                req->completion = slot;
                 if(slot->deadlineUs != 0)
                     req->deadline = tnow + std::chrono::microseconds(slot->deadlineUs);
                 ::new(admissionBytes.data() + i * sizeof(serve::Admission)) serve::Admission{};
@@ -767,16 +786,8 @@ namespace alpaka::net
                 auto& outcome = admissions[i];
                 if(outcome.error == nullptr)
                 {
-                    // One-pointer capture: rides then()'s inline slot, no
-                    // allocation (serve/future.hpp). A request resolved at
-                    // admission (expired, cancelled) completes inline.
-                    outcome.future.then(
-                        [slot](std::exception_ptr e) noexcept
-                        {
-                            slot->status = statusOf(e);
-                            ALPAKA_TRACE_INSTANT("net.completion", slot->reqId);
-                            slot->state.store(slotDone, std::memory_order_release);
-                        });
+                    // Admitted: the slot's hook fires once (already did,
+                    // inline, for a request expired or cancelled here).
                     ++stats_.requestsSubmitted;
                 }
                 else

@@ -8,6 +8,8 @@
 /// the client owns, so the hot completion path moves no data.
 #pragma once
 
+#include "serve/types.hpp"
+
 #include "alpaka/core/error.hpp"
 #include "alpaka/core/mpmc_ring.hpp"
 
@@ -163,12 +165,14 @@ namespace alpaka::serve
         //! Continuations must not block the worker for long and must not
         //! throw.
         //!
-        //! Allocation contract (DESIGN.md §9.2): the FIRST continuation
-        //! lands in an inline slot of the request's recycled state block,
-        //! so one then() per request — the wire completion path — costs
-        //! the heap nothing as long as the callable's capture fits
-        //! std::function's small-object buffer (two pointers). Further
-        //! continuations spill to a vector and may allocate.
+        //! Allocation contract: the FIRST continuation lands in an inline
+        //! slot of the request's recycled state block, so one then() per
+        //! request costs the heap nothing as long as the callable's
+        //! capture fits std::function's small-object buffer (two
+        //! pointers). Further continuations spill to a vector and may
+        //! allocate. Callers that only need a completion signal pass a
+        //! serve::Completion in the Request instead and skip the future
+        //! altogether (the net front door does, DESIGN.md §9.2).
         void then(std::function<void(std::exception_ptr)> fn) const
         {
             auto& state = requireState();
@@ -195,8 +199,19 @@ namespace alpaka::serve
         friend class Service;
         friend struct FutureTestAccess;
 
-        struct State
+        //! The future's side of a request is a Completion whose hook is
+        //! complete(): the service resolves futures and caller-provided
+        //! completions through the same call.
+        struct State : Completion
         {
+            State() noexcept : Completion(&resolveHook)
+            {
+            }
+
+            //! An admitted state holds itself until it resolves, so the
+            //! service's queues carry a plain Completion pointer and a
+            //! client may drop its Future early.
+            std::shared_ptr<State> self;
             std::mutex mutex;
             std::condition_variable cv;
             bool done = false;
@@ -224,34 +239,41 @@ namespace alpaka::serve
             return *state_;
         }
 
-        //! One-shot completion, called by the service's worker or the
-        //! supervisor. The two race under a single injected fault (a
-        //! worker declared lost may still finish its batch); the done
-        //! check under the lock makes the loser's attempt a no-op, so a
-        //! future resolves exactly once whoever wins (invariant 16; the
-        //! claim protocol on InFlightBatch makes the race rare, this is
-        //! the backstop that makes it impossible to lose). Runs the
-        //! continuations outside the lock (they may touch the future).
-        //! \returns true when this call resolved the future.
-        static auto complete(std::shared_ptr<State> const& state, std::exception_ptr error) -> bool
+        //! One-shot completion, reached through the state's Completion
+        //! hook. Exactly-once rests on the service's claim protocol (the
+        //! InFlightBatch claim, queue ownership under its mutex —
+        //! invariant 16); the done check under the lock is the futures'
+        //! backstop, making a second attempt by a holder of the state a
+        //! no-op. Runs the continuations outside the lock (they may touch
+        //! the future). \returns true when this call resolved the future.
+        //! The state's self-reference goes last, after the continuations
+        //! ran.
+        static auto complete(State& state, std::exception_ptr error) -> bool
         {
+            std::shared_ptr<State> self;
             std::function<void(std::exception_ptr)> first;
             std::vector<std::function<void(std::exception_ptr)>> continuations;
             {
-                std::scoped_lock lock(state->mutex);
-                if(state->done)
+                std::scoped_lock lock(state.mutex);
+                if(state.done)
                     return false;
-                state->done = true;
-                state->error = error;
-                first = std::exchange(state->first, {});
-                continuations = std::exchange(state->continuations, {});
+                state.done = true;
+                state.error = error;
+                first = std::exchange(state.first, {});
+                continuations = std::exchange(state.continuations, {});
+                self = std::move(state.self);
             }
-            state->cv.notify_all();
+            state.cv.notify_all();
             if(first != nullptr)
                 first(error);
             for(auto const& fn : continuations)
                 fn(error);
             return true;
+        }
+
+        static void resolveHook(Completion& completion, std::exception_ptr error) noexcept
+        {
+            complete(static_cast<State&>(completion), std::move(error));
         }
 
         explicit Future(std::shared_ptr<State> state) noexcept : state_(std::move(state))
@@ -276,7 +298,7 @@ namespace alpaka::serve
         //! \returns true when this call resolved the future (one-shot).
         auto complete(std::exception_ptr error) const -> bool
         {
-            return Future::complete(state, error);
+            return Future::complete(*state, error);
         }
     };
 } // namespace alpaka::serve

@@ -38,7 +38,8 @@
 ///  * Request-scoped memory: scratchBytes per request come from the
 ///    worker device's mempool::Pool via allocAsync/freeAsync — steady
 ///    state serves every request from recycled blocks (§5).
-///  * Completion via serve::Future (poll/wait/waitFor/then); a failing
+///  * Completion via serve::Future (poll/wait/waitFor/then) or a
+///    caller-owned serve::Completion (the wire path); a failing
 ///    request fails only its own future (invariant 15).
 ///  * Introspection: Service::stats() — queue depths per tenant,
 ///    in-flight count, throughput, a p50/p99 latency histogram snapshot
@@ -131,16 +132,19 @@ namespace alpaka::serve
     };
 
     //! One request's outcome of a span admission (Service::submit and
-    //! net::Router::submit over spans). Exactly one member is set:
-    //! \p future when the request was admitted — or resolved on the spot
+    //! net::Router::submit over spans). \p error == nullptr means the
+    //! request was admitted (\p admitted is set) — or resolved on the spot
     //! with CancelledError/DeadlineError because it was already cancelled
-    //! or expired — and \p error when it was refused: AdmissionError
-    //! when a queue bound was full or the service is stopping, UsageError
-    //! for an unknown template.
+    //! or expired. An admitted request resolves exactly once: through
+    //! \p future, or, for a request carrying a Completion, through that
+    //! (\p future stays empty). Otherwise \p error says why it was
+    //! refused: AdmissionError when a queue bound was full or the service
+    //! is stopping, UsageError for an unknown template.
     struct Admission
     {
         Future future;
         std::exception_ptr error;
+        bool admitted = false;
     };
 
     class Service
@@ -171,10 +175,11 @@ namespace alpaka::serve
         //! \throws UsageError for an unknown template id.
         auto submit(TemplateId tmpl, std::string_view tenant, void* payload) -> Future;
 
-        //! Admits \p request — the full surface: deadline and CancelToken
-        //! ride along (see Request). A request already expired or
-        //! cancelled at submission is not queued; its future comes back
-        //! pre-resolved with the typed error.
+        //! Admits \p request — the full surface: deadline, CancelToken and
+        //! Completion ride along (see Request). A request already expired
+        //! or cancelled at submission is not queued; its future comes back
+        //! pre-resolved with the typed error (its Completion fires inline).
+        //! A request with a Completion returns an empty future.
         auto submit(Request const& request) -> Future;
 
         //! Blocking submit: waits up to \p timeout for queue space, then
@@ -237,7 +242,9 @@ namespace alpaka::serve
             TemplateState* tmpl = nullptr;
             TenantState* tenant = nullptr;
             PayloadView payload;
-            std::shared_ptr<Future::State> future;
+            //! Fired exactly once (resolve()): the request's own
+            //! Completion, or its self-owning Future::State.
+            Completion* completion = nullptr;
             std::chrono::steady_clock::time_point admitted;
             //! Shed with DeadlineError once passed (empty = never).
             std::optional<std::chrono::steady_clock::time_point> deadline;
@@ -288,7 +295,7 @@ namespace alpaka::serve
             }
             void popFront()
             {
-                front() = Pending{}; // drop the future/token refs now
+                front() = Pending{}; // drop the token ref now
                 ++head_;
             }
             //! Removes the element at logical index \p i by shifting the
@@ -468,9 +475,9 @@ namespace alpaka::serve
             std::vector<std::unique_ptr<PerWorker>> incarnations;
         };
 
-        //! Requests removed from the queues whose futures still await
-        //! their typed error — resolved outside mutex_ (a continuation
-        //! may re-enter the service).
+        //! Requests removed from the queues whose completions still await
+        //! their typed error — resolved outside mutex_ (a completion may
+        //! re-enter the service).
         struct Shed
         {
             Pending request;
@@ -486,6 +493,13 @@ namespace alpaka::serve
             TenantState* tenant = nullptr;
         };
 
+        //! Fires \p request's completion with \p error — the one
+        //! resolution call of every site that holds a queued or
+        //! dispatched request (worker, supervisor, shutdown, shed;
+        //! preResolve fires a request's completion before it has a
+        //! Pending). Called outside mutex_, after the request's stats
+        //! settled; clears the pointer, so a request resolves once.
+        static void resolve(Pending& request, std::exception_ptr error) noexcept;
         //! The one admission path: submit/submitFor and the span submit
         //! all land here. With \p spaceDeadline, requests refused for
         //! space wait for it up to the deadline and retry.

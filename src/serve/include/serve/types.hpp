@@ -25,11 +25,13 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace alpaka::serve
@@ -176,6 +178,37 @@ namespace alpaka::serve
         std::size_t size_ = 0;
     };
 
+    //! Intrusive, non-owning completion target of one admitted request
+    //! (DESIGN.md §6.2): the service calls complete() exactly once with
+    //! the request's error (nullptr on success), after the request's stats
+    //! settled, on whichever thread resolved it — a worker, the
+    //! supervisor, shutdown, or the submitter itself for a request already
+    //! expired or cancelled at admission. A refused request's completion
+    //! never fires. The caller embeds the Completion in state it owns (the
+    //! net front door's request slot, Future's state) and keeps it alive
+    //! until it fired; the hook must not throw and must not block the
+    //! resolving thread for long.
+    class Completion
+    {
+    public:
+        using Hook = void (*)(Completion&, std::exception_ptr) noexcept;
+
+        explicit Completion(Hook hook) noexcept : hook_(hook)
+        {
+        }
+        //! The service holds the address: not copyable.
+        Completion(Completion const&) = delete;
+        auto operator=(Completion const&) -> Completion& = delete;
+
+        void complete(std::exception_ptr error) noexcept
+        {
+            hook_(*this, std::move(error));
+        }
+
+    private:
+        Hook hook_;
+    };
+
     //! One unit of client work against a registered template — the full
     //! submission surface. The plain submit(tmpl, tenant, payload)
     //! overloads construct the degenerate form (no deadline, empty
@@ -194,10 +227,14 @@ namespace alpaka::serve
         //! Trace correlation id (DESIGN.md §10): 0 = untraced. The net
         //! front door sets the wire reqId here, so the request's spans —
         //! frame decode on the poll thread, queue wait and execution on
-        //! the serve workers, the completion continuation — share one
+        //! the serve workers, the completion hook — share one
         //! async-span id in the exported timeline. Untraced builds carry
         //! the field (it is plumbing, not trace code) but never read it.
         std::uint64_t traceId = 0;
+        //! Where the outcome goes: nullptr (default) resolves through the
+        //! serve::Future the submit returns; otherwise the service fires
+        //! this Completion instead and returns no future.
+        Completion* completion = nullptr;
     };
 
     //! What Service::shutdown(timeout) observed (the bounded-drain

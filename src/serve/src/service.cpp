@@ -47,7 +47,7 @@ namespace alpaka::serve
         //! Inside Service::admit: a request neither admitted nor refused yet.
         [[nodiscard]] auto waiting(Admission const& a) noexcept -> bool
         {
-            return !a.future.valid() && a.error == nullptr;
+            return !a.admitted && a.error == nullptr;
         }
     } // namespace
 
@@ -188,9 +188,9 @@ namespace alpaka::serve
                     std::scoped_lock lock(mutex_);
                     settleInFlightLocked(requests, requests.size());
                 }
-                for(auto const& request : requests)
-                    Future::complete(
-                        request.future,
+                for(auto& request : requests)
+                    resolve(
+                        request,
                         std::make_exception_ptr(WorkerLostError(
                             "serve::Service: worker " + std::to_string(worker->index)
                             + " unresponsive at shutdown; request outcome unknown")));
@@ -242,9 +242,9 @@ namespace alpaka::serve
             for(auto const& pending : abandoned)
                 ++pending.tenant->completed;
         }
-        for(auto const& pending : abandoned)
-            Future::complete(
-                pending.future,
+        for(auto& pending : abandoned)
+            resolve(
+                pending,
                 std::make_exception_ptr(
                     CancelledError("serve::Service: request abandoned at shutdown (no live worker remained)")));
         if(!abandoned.empty())
@@ -402,8 +402,8 @@ namespace alpaka::serve
         std::span<Admission> out,
         std::chrono::steady_clock::time_point now)
     {
-        // A doomed request gets its future AND its typed error first;
-        // the future resolves only after the shed counters settled.
+        // A doomed request is marked admitted AND gets its typed error
+        // first; it resolves only after the shed counters settled.
         std::size_t cancelled = 0;
         std::size_t expired = 0;
         for(std::size_t i = 0; i < requests.size(); ++i)
@@ -429,22 +429,29 @@ namespace alpaka::serve
             }
             else
                 continue;
-            out[i].future = Future(Future::makeState());
+            out[i].admitted = true;
+            if(r.completion == nullptr)
+                out[i].future = Future(Future::makeState());
         }
         if(cancelled + expired == 0)
             return;
         {
             // Counted like a dispatch-time shed (resolveShed): a resolved
-            // future always reads its request as completed and failed.
+            // request always reads as completed and failed.
             std::scoped_lock lock(mutex_);
             shedCancelled_ += cancelled;
             shedExpired_ += expired;
             completed_ += cancelled + expired;
             failed_ += cancelled + expired;
         }
-        for(auto& a : out.first(requests.size()))
-            if(a.future.valid() && a.error != nullptr)
-                Future::complete(a.future.state_, std::exchange(a.error, nullptr));
+        for(std::size_t i = 0; i < requests.size(); ++i)
+        {
+            if(!out[i].admitted || out[i].error == nullptr)
+                continue;
+            auto* const completion
+                = requests[i].completion != nullptr ? requests[i].completion : out[i].future.state_.get();
+            completion->complete(std::exchange(out[i].error, nullptr));
+        }
     }
 
     auto Service::stage(
@@ -511,7 +518,8 @@ namespace alpaka::serve
                         t = tenantLocked(r.tenant);
                     }
                 }
-                future = Future::makeState();
+                if(r.completion == nullptr)
+                    future = Future::makeState();
             }
             catch(...)
             {
@@ -536,7 +544,13 @@ namespace alpaka::serve
                 ALPAKA_TRACE_ASYNC_BEGIN("serve.request", r.traceId);
                 ALPAKA_TRACE_ASYNC_BEGIN("serve.queued", r.traceId);
             }
-            Pending p{templateFind(r.tmpl), t, r.payload, future, now, r.deadline, r.cancel, r.traceId};
+            Completion* completion = r.completion;
+            if(completion == nullptr)
+            {
+                future->self = future; // released as the future resolves
+                completion = future.get();
+            }
+            Pending p{templateFind(r.tmpl), t, r.payload, completion, now, r.deadline, r.cancel, r.traceId};
             // Full ring: move its contents to the tenant queues (the
             // reservations guarantee them room) and retry. A failed
             // drain only means another producer's cell is mid-commit.
@@ -546,7 +560,9 @@ namespace alpaka::serve
                 drainAdmissionLocked();
             }
             t->admitted.fetch_add(1, std::memory_order_relaxed);
-            out[i].future = Future(std::move(future));
+            out[i].admitted = true;
+            if(future != nullptr)
+                out[i].future = Future(std::move(future));
         }
         if(left != 0)
             queued_.fetch_sub(left, std::memory_order_relaxed);
@@ -877,7 +893,7 @@ namespace alpaka::serve
             return;
         // Stats settle first (resolving_ was raised at the pop, so
         // drain() keeps waiting); then the futures, outside the lock (a
-        // continuation may re-enter the service); then resolving_ drops
+        // completion may re-enter the service); then resolving_ drops
         // — so a resolved future always reads settled stats, and drain()
         // returning always means the futures have resolved.
         {
@@ -905,7 +921,7 @@ namespace alpaka::serve
                 }
             }
         }
-        for(auto const& s : shed)
+        for(auto& s : shed)
         {
             if(s.request.traceId != 0)
             {
@@ -915,7 +931,7 @@ namespace alpaka::serve
                 ALPAKA_TRACE_ASYNC_END("serve.queued", s.request.traceId);
                 ALPAKA_TRACE_ASYNC_END("serve.request", s.request.traceId);
             }
-            Future::complete(s.request.future, s.error);
+            resolve(s.request, s.error);
         }
         finishResolving(shed.size());
         spaceCv_.notify_all();
@@ -1033,12 +1049,12 @@ namespace alpaka::serve
             {
                 if(requests[i].traceId != 0)
                     ALPAKA_TRACE_ASYNC_END("serve.request", requests[i].traceId);
-                // The worker's reference goes as the future resolves, not
-                // at its next pop: an idle worker holding its last batch's
-                // futures would make how many are alive at once (what the
-                // recycling allocator's cache must cover) depend on how
-                // that batch happened to form.
-                Future::complete(std::exchange(requests[i].future, nullptr), outcomes[i]);
+                // A future's state drops its self-reference as it resolves,
+                // not at this worker's next pop: an idle worker keeping its
+                // last batch's states alive would make how many are alive
+                // at once (what the recycling allocator's cache must
+                // cover) depend on how that batch happened to form.
+                resolve(requests[i], outcomes[i]);
             }
             finishResolving(requests.size());
         }
@@ -1109,9 +1125,9 @@ namespace alpaka::serve
                 std::scoped_lock lock(mutex_);
                 settleInFlightLocked(l.work->batch.requests, l.work->batch.requests.size());
             }
-            for(auto const& request : l.work->batch.requests)
-                Future::complete(
-                    request.future,
+            for(auto& request : l.work->batch.requests)
+                resolve(
+                    request,
                     std::make_exception_ptr(WorkerLostError(
                         "serve::Service: worker " + std::to_string(l.slot)
                         + " stalled past stallTimeout; request outcome unknown")));
@@ -1297,6 +1313,11 @@ namespace alpaka::serve
 
     // ------------------------------------------------------------------
     // introspection
+
+    void Service::resolve(Pending& request, std::exception_ptr error) noexcept
+    {
+        std::exchange(request.completion, nullptr)->complete(std::move(error));
+    }
 
     void Service::settleInFlightLocked(std::vector<Pending> const& requests, std::size_t failures)
     {

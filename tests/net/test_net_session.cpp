@@ -3,7 +3,8 @@
 /// payload mutated in place (the zero-copy contract), delivery over
 /// byte-fragmenting transports, window/slot flow control, deadline
 /// propagation, typed rejections, the Bye drain handshake, protocol
-/// hostility (garbage, oversized frames), and the steady-state
+/// hostility (garbage, oversized frames), a worker lost to the
+/// supervisor mid-request, and the steady-state
 /// allocation audit over the whole wire path.
 #include <net/admin.hpp>
 #include <net/client.hpp>
@@ -295,6 +296,79 @@ TEST(NetSession, DeadlinePropagatesAsExpiredStatus)
     router.drain();
 }
 
+//! The supervisor path over the wire: a request whose kernel stalls past
+//! stallTimeout is answered WorkerLost exactly once, through its slot's
+//! completion. The slot then serves later requests correctly (one
+//! request in flight at a time always lands in the connection's first
+//! slot), and the zombie worker's late finish — it loses the batch claim
+//! — sends nothing and resolves nothing.
+TEST(NetSession, StalledKernelAnswersWorkerLostOnceAndItsSlotServesOn)
+{
+    auto options = smallRouter();
+    options.shard.stallTimeout = 50ms;
+    net::Router router(options);
+    std::atomic<bool> stallArmed{true};
+    std::atomic<bool> zombieDone{false};
+    serve::TemplateDesc desc = incrementTemplate();
+    auto const increment = desc.body;
+    desc.body = [&stallArmed, &zombieDone, increment](serve::RequestItem const& item)
+    {
+        if(!stallArmed.exchange(false))
+        {
+            increment(item);
+            return;
+        }
+        std::this_thread::sleep_for(300ms);
+        zombieDone.store(true, std::memory_order_release);
+    };
+    auto const tmpl = router.registerTemplate(desc);
+    Session s(router);
+
+    std::map<std::uint64_t, std::vector<Client::Response>> seen;
+    std::map<std::uint64_t, std::vector<unsigned>> payloads;
+    auto const record = [&](Client::Response const& r)
+    {
+        seen[r.reqId].push_back(r);
+        for(std::size_t i = 0; i < r.payloadLen; ++i)
+            payloads[r.reqId].push_back(static_cast<unsigned>(r.payload[i]));
+    };
+    std::array<std::byte, 4> bytes{std::byte{1}, std::byte{2}, std::byte{3}, std::byte{4}};
+    auto const roundTrip = [&]
+    {
+        auto const reqId = s.client->trySubmit(tmpl, bytes.data(), bytes.size());
+        EXPECT_NE(reqId, 0U);
+        EXPECT_TRUE(pollUntil(s.door, *s.client, record, [&] { return seen.count(reqId) != 0; }));
+        return reqId;
+    };
+
+    auto const stalled = roundTrip();
+    ASSERT_EQ(seen[stalled].size(), 1U);
+    EXPECT_EQ(seen[stalled][0].status, net::Status::WorkerLost);
+    EXPECT_FALSE(zombieDone.load(std::memory_order_acquire)) << "answered by the supervisor, not the zombie";
+
+    auto const during = roundTrip(); // served by the replacement while the zombie naps
+    ASSERT_TRUE(pollUntil(s.door, *s.client, record, [&] { return zombieDone.load(std::memory_order_acquire); }));
+    auto const after = roundTrip();
+    // Keep polling a while past the zombie's finish: nothing more arrives.
+    EXPECT_FALSE(pollUntil(s.door, *s.client, record, [&] { return seen.size() > 3; }, 50ms));
+
+    std::vector<unsigned> const incremented{2, 3, 4, 5};
+    for(auto const reqId : {during, after})
+    {
+        ASSERT_EQ(seen[reqId].size(), 1U) << "reqId " << reqId;
+        EXPECT_EQ(seen[reqId][0].status, net::Status::Ok) << "reqId " << reqId;
+        EXPECT_EQ(payloads[reqId], incremented) << "reqId " << reqId;
+    }
+    EXPECT_EQ(seen.size(), 3U);
+    EXPECT_EQ(s.door.stats().responsesError, 1U);
+    EXPECT_EQ(s.door.stats().responsesOk, 2U);
+    router.drain();
+    auto const stats = router.stats();
+    EXPECT_EQ(stats[0].workersLost, 1U);
+    EXPECT_EQ(stats[0].completed, 3U);
+    EXPECT_EQ(stats[0].failed, 1U);
+}
+
 //! One poll admits every Request frame it read in one step per shard
 //! (DESIGN.md §9.2), yet each frame keeps its own outcome: frames of two
 //! tenants on different shards, one past its tenant's bound, one naming
@@ -516,6 +590,7 @@ TEST(NetSession, ConnectionTableIsBounded)
 //! The acceptance gate: once warm, the whole wire path — client encode,
 //! pipe, frame decode, admission, dispatch, completion continuation,
 //! response encode, client decode — performs ZERO heap allocations.
+//! (The slot is the request's serve::Completion: no future state at all.)
 TEST(NetSession, SteadyStateWirePathAllocatesNothing)
 {
     if(!core::allocTrackEnabled())
@@ -569,8 +644,8 @@ TEST(NetSession, SteadyStateWirePathAllocatesNothing)
             }));
     };
 
-    // Warm every cache on the path (tenant record, future-state ring,
-    // batch caches, mempool bins, ring laps).
+    // Warm every cache on the path (tenant record, batch caches, mempool
+    // bins, ring laps).
     roundTrips(2'000);
     router.drain();
 

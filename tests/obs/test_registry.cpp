@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -271,6 +272,11 @@ TEST(Registry, RouterFleetViewIsTheShardSum)
 //! The fleet view's sample set: a router_shards gauge, then every shard's
 //! ServiceStats collected unlabeled into one registry — the same names,
 //! labels, kinds, values and exposition as that composition by hand.
+//! Every CPU shard reports the one process-wide mempool::Pool::forDev
+//! (DevCpu), so the composition collects each distinct device pool once
+//! and sums the per-shard queue levels, as the fleet view does: summing
+//! the shared pool per shard only matched while no earlier test in the
+//! process had allocated scratch from it.
 TEST(Registry, RouterFleetViewKeepsItsSamples)
 {
     auto const shards = servedFleetStats();
@@ -279,8 +285,26 @@ TEST(Registry, RouterFleetViewKeepsItsSamples)
 
     obs::Registry expected;
     expected.gauge("router_shards", double(shards.size()));
-    for(auto const& shard : shards)
+    std::vector<std::string> devices;
+    double queued = 0.0;
+    double inFlight = 0.0;
+    for(auto shard : shards)
+    {
+        std::erase_if(
+            shard.devicePools,
+            [&](serve::DevicePoolStats const& pool)
+            {
+                if(std::find(devices.begin(), devices.end(), pool.device) != devices.end())
+                    return true;
+                devices.push_back(pool.device);
+                return false;
+            });
         obs::collect(expected, shard);
+        queued += double(shard.queued);
+        inFlight += double(shard.inFlight);
+    }
+    expected.gauge("serve_queued", queued);
+    expected.gauge("serve_in_flight", inFlight);
 
     ASSERT_EQ(reg.samples().size(), expected.samples().size());
     for(std::size_t i = 0; i < reg.samples().size(); ++i)

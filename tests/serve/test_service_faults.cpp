@@ -5,7 +5,9 @@
 /// deterministically. The injection-dependent tests skip unless the
 /// build was configured with ALPAKA_REPRO_FAULTINJECT=ON (the CI chaos
 /// lane); the shedding/supervision tests force their faults naturally
-/// (slow bodies, short deadlines) and run everywhere.
+/// (slow bodies, short deadlines) and run everywhere, as do the
+/// serve::Completion contract tests (one firing per admitted request,
+/// whichever way it ends; none for a refusal).
 #include <serve/service.hpp>
 
 #include <alpaka/alpaka.hpp>
@@ -17,7 +19,10 @@
 #include <chrono>
 #include <cstdlib>
 #include <new>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -110,6 +115,89 @@ namespace
     {
         ASSERT_TRUE(future.valid());
         EXPECT_THROW(future.wait(), ErrorT);
+    }
+
+    //! True when \p error holds an ErrorT.
+    template<typename ErrorT>
+    [[nodiscard]] auto failsWith(std::exception_ptr error) -> bool
+    {
+        try
+        {
+            if(error != nullptr)
+                std::rethrow_exception(error);
+        }
+        catch(ErrorT const&)
+        {
+            return true;
+        }
+        catch(...)
+        {
+        }
+        return false;
+    }
+
+    //! A caller-owned completion target that counts its firings and
+    //! records what stats().completed read inside the hook: the probe of
+    //! the serve::Completion contract (fires once per admitted request,
+    //! after the stats settled; never for a refusal).
+    struct CountingCompletion : serve::Completion
+    {
+        explicit CountingCompletion(serve::Service& svc) noexcept : serve::Completion(&onComplete), svc(&svc)
+        {
+        }
+
+        static void onComplete(serve::Completion& completion, std::exception_ptr e) noexcept
+        {
+            auto& self = static_cast<CountingCompletion&>(completion);
+            self.completedSeen = self.svc->stats().completed;
+            self.error = e;
+            self.fired.fetch_add(1, std::memory_order_release);
+        }
+
+        //! Bounded wait for the first firing.
+        [[nodiscard]] auto awaitFired() const -> bool
+        {
+            auto const until = std::chrono::steady_clock::now() + 5s;
+            while(fired.load(std::memory_order_acquire) == 0)
+            {
+                if(std::chrono::steady_clock::now() > until)
+                    return false;
+                std::this_thread::sleep_for(1ms);
+            }
+            return true;
+        }
+
+        serve::Service* svc;
+        std::exception_ptr error;
+        std::uint64_t completedSeen = 0;
+        std::atomic<int> fired{0};
+    };
+
+    [[nodiscard]] auto oneWorker() -> serve::ServiceOptions
+    {
+        serve::ServiceOptions options;
+        options.cpuWorkers = 1;
+        return options;
+    }
+
+    //! \p request with \p completion attached, admitted as a span of one.
+    auto admitWith(serve::Service& svc, serve::Request request, CountingCompletion& completion) -> serve::Admission
+    {
+        request.completion = &completion;
+        serve::Admission outcome;
+        svc.submit({&request, 1}, {&outcome, 1});
+        EXPECT_FALSE(outcome.future.valid()) << "a request with a completion gets no future";
+        return outcome;
+    }
+
+    [[nodiscard]] auto requestOf(serve::TemplateId tmpl, void* payload, std::string_view tenant = "t")
+        -> serve::Request
+    {
+        serve::Request r;
+        r.tmpl = tmpl;
+        r.tenant = tenant;
+        r.payload = payload;
+        return r;
     }
 } // namespace
 
@@ -422,6 +510,266 @@ TEST(ServeResilience, CleanShutdownReportsClean)
     EXPECT_EQ(report.orphanedInFlight, 0u);
     for(auto& f : futures)
         f.wait(); // everything admitted finished before the fleet left
+}
+
+// ------------------------------------------------------ completion contract
+
+TEST(ServeCompletion, FiresOnceOnSuccessAndOnAThrowingBody)
+{
+    serve::Service svc(oneWorker());
+    auto const scaleId = svc.registerTemplate(scaleTemplate(4));
+    serve::TemplateDesc throwing;
+    throwing.name = "throwing";
+    throwing.body = [](serve::RequestItem const&) { throw std::runtime_error("body failed"); };
+    auto const throwId = svc.registerTemplate(throwing);
+
+    Payload p{3.0, 0.0};
+    CountingCompletion ok(svc);
+    auto const okOutcome = admitWith(svc, requestOf(scaleId, &p), ok);
+    EXPECT_EQ(okOutcome.error, nullptr);
+    EXPECT_TRUE(okOutcome.admitted);
+    ASSERT_TRUE(ok.awaitFired());
+    EXPECT_EQ(ok.error, nullptr);
+    EXPECT_DOUBLE_EQ(p.out, 7.0);
+    EXPECT_EQ(ok.completedSeen, 1u) << "the hook reads its request as completed";
+
+    CountingCompletion failed(svc);
+    EXPECT_EQ(admitWith(svc, requestOf(throwId, nullptr), failed).error, nullptr);
+    ASSERT_TRUE(failed.awaitFired());
+    EXPECT_TRUE(failsWith<std::runtime_error>(failed.error));
+    EXPECT_EQ(failed.completedSeen, 2u);
+
+    svc.drain();
+    EXPECT_EQ(ok.fired.load(), 1);
+    EXPECT_EQ(failed.fired.load(), 1);
+    EXPECT_EQ(svc.stats().failed, 1u);
+}
+
+TEST(ServeCompletion, FiresInlineForADeadlineOrCancelAtAdmission)
+{
+    serve::Service svc(oneWorker());
+    auto const id = svc.registerTemplate(scaleTemplate(4));
+    Payload p{1.0, 0.0};
+
+    CountingCompletion expired(svc);
+    auto request = requestOf(id, &p);
+    request.deadline = std::chrono::steady_clock::now() - 1ms;
+    auto const expiredOutcome = admitWith(svc, request, expired);
+    EXPECT_EQ(expiredOutcome.error, nullptr) << "resolved at admission is admitted, not refused";
+    EXPECT_TRUE(expiredOutcome.admitted);
+    EXPECT_EQ(expired.fired.load(), 1) << "fired inline, before submit returned";
+    EXPECT_TRUE(failsWith<serve::DeadlineError>(expired.error));
+    EXPECT_EQ(expired.completedSeen, 1u);
+
+    CountingCompletion cancelled(svc);
+    auto token = serve::CancelToken::make();
+    token.cancel();
+    request = requestOf(id, &p);
+    request.cancel = token;
+    EXPECT_EQ(admitWith(svc, request, cancelled).error, nullptr);
+    EXPECT_EQ(cancelled.fired.load(), 1);
+    EXPECT_TRUE(failsWith<serve::CancelledError>(cancelled.error));
+    EXPECT_EQ(cancelled.completedSeen, 2u);
+
+    svc.drain();
+    EXPECT_EQ(expired.fired.load(), 1);
+    EXPECT_EQ(cancelled.fired.load(), 1);
+    EXPECT_DOUBLE_EQ(p.out, 0.0);
+}
+
+TEST(ServeCompletion, FiresOnceWhenShedAtDispatch)
+{
+    Gate gate;
+    serve::Service svc(oneWorker());
+    auto const gateId = svc.registerTemplate(gate.desc());
+    auto const scaleId = svc.registerTemplate(scaleTemplate(8));
+    int gatePayload = 0;
+    auto gateFuture = svc.submit(gateId, "t", &gatePayload);
+    gate.awaitStarted();
+
+    // Queued behind the gate: one expires, one is cancelled.
+    Payload doomed{1.0, 0.0};
+    CountingCompletion expired(svc);
+    auto request = requestOf(scaleId, &doomed);
+    request.deadline = std::chrono::steady_clock::now() + 10ms;
+    EXPECT_EQ(admitWith(svc, request, expired).error, nullptr);
+    CountingCompletion cancelled(svc);
+    auto token = serve::CancelToken::make();
+    request = requestOf(scaleId, &doomed);
+    request.cancel = token;
+    EXPECT_EQ(admitWith(svc, request, cancelled).error, nullptr);
+
+    token.cancel();
+    std::this_thread::sleep_for(20ms); // the deadline lapses while queued
+    EXPECT_EQ(expired.fired.load(), 0);
+    EXPECT_EQ(cancelled.fired.load(), 0);
+    gate.release.store(true, std::memory_order_release);
+    ASSERT_TRUE(expired.awaitFired());
+    ASSERT_TRUE(cancelled.awaitFired());
+    EXPECT_TRUE(failsWith<serve::DeadlineError>(expired.error));
+    EXPECT_TRUE(failsWith<serve::CancelledError>(cancelled.error));
+    EXPECT_GE(expired.completedSeen, 2u); // the gate request, then itself
+    EXPECT_GE(cancelled.completedSeen, 2u);
+    gateFuture.wait();
+
+    svc.drain();
+    EXPECT_EQ(expired.fired.load(), 1);
+    EXPECT_EQ(cancelled.fired.load(), 1);
+    EXPECT_DOUBLE_EQ(doomed.out, 0.0);
+    EXPECT_EQ(svc.stats().shedExpired, 1u);
+    EXPECT_EQ(svc.stats().shedCancelled, 1u);
+}
+
+TEST(ServeCompletion, FiresOnceWhenShedUnderOverload)
+{
+    Gate gate;
+    serve::ServiceOptions options;
+    options.cpuWorkers = 1;
+    options.shedWatermark = 1;
+    serve::Service svc(std::move(options));
+    auto const gateId = svc.registerTemplate(gate.desc());
+    auto const scaleId = svc.registerTemplate(scaleTemplate(1));
+    int gatePayload = 0;
+    auto gateFuture = svc.submit(gateId, "t", &gatePayload);
+    gate.awaitStarted();
+
+    Payload filler{1.0, 0.0};
+    auto fillerFuture = svc.submit(scaleId, "t", &filler); // deadline-less: never shed
+    Payload victim{1.0, 0.0};
+    CountingCompletion overloaded(svc);
+    auto request = requestOf(scaleId, &victim);
+    request.deadline = std::chrono::steady_clock::now() + 1h;
+    EXPECT_EQ(admitWith(svc, request, overloaded).error, nullptr) << "admitted, then shed";
+    EXPECT_EQ(overloaded.fired.load(), 1) << "shed by its own submit, past the watermark";
+    EXPECT_TRUE(failsWith<serve::OverloadError>(overloaded.error));
+    EXPECT_EQ(overloaded.completedSeen, 1u);
+
+    gate.release.store(true, std::memory_order_release);
+    gateFuture.wait();
+    fillerFuture.wait();
+    svc.drain();
+    EXPECT_EQ(overloaded.fired.load(), 1);
+    EXPECT_DOUBLE_EQ(victim.out, 0.0);
+    EXPECT_EQ(svc.stats().shedOverload, 1u);
+}
+
+TEST(ServeCompletion, FiresOnceForAWorkerLostToTheSupervisor)
+{
+    std::atomic<bool> stallArmed{true};
+    std::atomic<bool> zombieDone{false};
+    serve::TemplateDesc slow;
+    slow.name = "slow";
+    slow.body = [&](serve::RequestItem const&)
+    {
+        if(stallArmed.exchange(false))
+        {
+            std::this_thread::sleep_for(300ms);
+            zombieDone.store(true, std::memory_order_release);
+        }
+    };
+    serve::ServiceOptions options;
+    options.cpuWorkers = 1;
+    options.stallTimeout = 50ms;
+    serve::Service svc(std::move(options));
+    auto const slowId = svc.registerTemplate(slow);
+
+    CountingCompletion lost(svc);
+    EXPECT_EQ(admitWith(svc, requestOf(slowId, nullptr), lost).error, nullptr);
+    ASSERT_TRUE(lost.awaitFired());
+    EXPECT_TRUE(failsWith<serve::WorkerLostError>(lost.error));
+    EXPECT_EQ(lost.completedSeen, 1u);
+
+    // The zombie finishes its batch late and loses the claim: nothing
+    // fires again, and the replacement serves.
+    while(!zombieDone.load(std::memory_order_acquire))
+        std::this_thread::sleep_for(1ms);
+    CountingCompletion after(svc);
+    EXPECT_EQ(admitWith(svc, requestOf(slowId, nullptr), after).error, nullptr);
+    ASSERT_TRUE(after.awaitFired());
+    EXPECT_EQ(after.error, nullptr);
+    EXPECT_TRUE(svc.shutdown().clean); // joins the zombie thread too
+    EXPECT_EQ(lost.fired.load(), 1);
+    EXPECT_EQ(after.fired.load(), 1);
+    EXPECT_EQ(svc.stats().workersLost, 1u);
+}
+
+TEST(ServeCompletion, FiresOnceForWorkOrphanedOrAbandonedAtShutdown)
+{
+    serve::TemplateDesc slow;
+    slow.name = "slow";
+    slow.body = [](serve::RequestItem const&) { std::this_thread::sleep_for(300ms); };
+    std::optional<serve::Service> svc;
+    svc.emplace(oneWorker()); // no supervision
+    auto const slowId = svc->registerTemplate(slow);
+    auto const scaleId = svc->registerTemplate(scaleTemplate(1));
+
+    CountingCompletion orphaned(*svc);
+    EXPECT_EQ(admitWith(*svc, requestOf(slowId, nullptr), orphaned).error, nullptr);
+    while(svc->stats().inFlight == 0)
+        std::this_thread::sleep_for(1ms);
+    Payload queuedPayload{1.0, 0.0};
+    CountingCompletion abandoned(*svc);
+    EXPECT_EQ(admitWith(*svc, requestOf(scaleId, &queuedPayload), abandoned).error, nullptr);
+
+    auto const report = svc->shutdown(50ms);
+    EXPECT_EQ(report.orphanedInFlight, 1u);
+    EXPECT_EQ(report.abandonedQueued, 1u);
+    EXPECT_EQ(orphaned.fired.load(), 1);
+    EXPECT_EQ(abandoned.fired.load(), 1);
+    EXPECT_TRUE(failsWith<serve::WorkerLostError>(orphaned.error));
+    EXPECT_TRUE(failsWith<serve::CancelledError>(abandoned.error));
+    EXPECT_EQ(orphaned.completedSeen, 1u);
+    EXPECT_EQ(abandoned.completedSeen, 2u);
+
+    // The stuck worker wakes inside the destructor's join and loses the
+    // claim: neither request fires a second time.
+    svc.reset();
+    EXPECT_EQ(orphaned.fired.load(), 1);
+    EXPECT_EQ(abandoned.fired.load(), 1);
+    EXPECT_DOUBLE_EQ(queuedPayload.out, 0.0);
+}
+
+TEST(ServeCompletion, NeverFiresForARefusal)
+{
+    Gate gate;
+    serve::ServiceOptions options;
+    options.cpuWorkers = 1;
+    options.queueCapacity = 1;
+    options.maxTenants = 1;
+    serve::Service svc(std::move(options));
+    auto const gateId = svc.registerTemplate(gate.desc());
+    auto const scaleId = svc.registerTemplate(scaleTemplate(1));
+    int gatePayload = 0;
+    auto gateFuture = svc.submit(gateId, "t", &gatePayload);
+    gate.awaitStarted();
+    Payload p{1.0, 0.0};
+
+    CountingCompletion unknown(svc);
+    auto const unknownOutcome = admitWith(svc, requestOf(9999, &p), unknown);
+    EXPECT_FALSE(unknownOutcome.admitted);
+    EXPECT_TRUE(failsWith<UsageError>(unknownOutcome.error)) << "unknown template";
+
+    CountingCompletion tenantBound(svc);
+    auto const tenantOutcome = admitWith(svc, requestOf(scaleId, &p, "second-tenant"), tenantBound);
+    EXPECT_FALSE(tenantOutcome.admitted);
+    EXPECT_TRUE(failsWith<serve::AdmissionError>(tenantOutcome.error)) << "tenant bound";
+
+    Payload queued{1.0, 0.0};
+    auto filler = svc.submit(scaleId, "t", &queued); // the queue's one place
+    CountingCompletion full(svc);
+    auto const fullOutcome = admitWith(svc, requestOf(scaleId, &p), full);
+    EXPECT_FALSE(fullOutcome.admitted);
+    EXPECT_TRUE(failsWith<serve::AdmissionError>(fullOutcome.error)) << "queue full";
+
+    gate.release.store(true, std::memory_order_release);
+    gateFuture.wait();
+    filler.wait();
+    svc.drain();
+    EXPECT_TRUE(svc.shutdown().clean);
+    for(auto const* c : {&unknown, &tenantBound, &full})
+        EXPECT_EQ(c->fired.load(), 0);
+    EXPECT_DOUBLE_EQ(p.out, 0.0);
+    EXPECT_EQ(svc.stats().completed, 2u);
 }
 
 // ---------------------------------------------------------- injected faults
