@@ -9,25 +9,35 @@
 /// if it is a socket), and never allocates in the steady state:
 ///
 ///  * Zero-copy landing: a Request frame's payload is received DIRECTLY
-///    into a per-connection slot buffer; admission hands the service a
-///    PayloadView over that buffer, the template mutates it in place,
-///    and the response frame is encoded from the same bytes. No payload
-///    copy exists anywhere between transport and kernel (satellite a).
-///  * Admission once per poll: the Request frames a poll completes are
-///    staged as slot references and admitted at the end of the poll in
-///    one Router call, sorted by shard, so every shard admits the poll's
-///    frames in one step (one gate, one reservation, one wake) instead
-///    of one per frame (DESIGN.md §9.2).
+///    into a per-connection slot buffer; the slot's serve::Request hands
+///    the service a PayloadView over that buffer, the template mutates it
+///    in place, and the response frame is encoded from the same bytes.
+///    No payload copy exists anywhere between transport and kernel.
+///  * Admission on the shard (DESIGN.md §9.2): the frames a poll reads
+///    from a connection are posted, as one span of slot requests, to the
+///    hand-off of the shard fixed at the connection's Hello
+///    (serve::Service::post). That shard's worker admits them; this
+///    thread does no tenant lookup, reservation, clock read or queue
+///    push. A refusal (Busy, BadRequest) arrives through the slot like
+///    any other outcome.
 ///  * The slot is the request's serve::Completion: the service fires its
 ///    hook once, on whichever thread resolved the request (a worker, the
-///    supervisor, shutdown, or this thread for a request expired at
-///    admission); the hook writes the slot's status and release-stores
-///    one atomic, and the poll thread picks the slot up on its next
-///    pass. No future, mutex or std::function per request.
+///    supervisor, shutdown); the hook writes the slot's status and
+///    sets the slot's bit in its connection's done word (fetch_or,
+///    release). The poll takes the whole word with one exchange
+///    (acquire), so a poll's cost follows the frames it moves, not
+///    Cfg::slotsPerConnection; a free mask that only the poll thread
+///    touches hands out slots (lowest free bit). No future, mutex or
+///    std::function per request.
+///  * A slot answered WorkerLost stays out of the free mask until the
+///    lost worker lets go of its payload (Completion::release sets the
+///    slot's bit in the connection's released word): a later request
+///    never lands in bytes a zombie kernel may still write.
 ///  * Flow control by NOT reading: a connection whose slots are all
-///    busy is simply not drained further — backpressure propagates
-///    through the transport's bounded buffer to the client's window,
-///    never by dropping a frame (invariant 20).
+///    busy, or whose shard's hand-off was full, is simply not drained
+///    further — backpressure propagates through the transport's bounded
+///    buffer to the client's window, never by dropping a frame and never
+///    by blocking or spinning (invariant 20).
 ///  * Session life cycle: AwaitHello (first frame must bind a tenant)
 ///    → Open → Draining (peer sent Bye; in-flight requests finish,
 ///    responses flush, Bye is acked) → Reaping (transport closed;
@@ -41,10 +51,11 @@
 ///    seeded, compiled out of production builds (DESIGN.md §7.2).
 ///
 /// Thread contract: accept/poll/stats from the single poll thread;
-/// worker threads touch only a slot's status and state, through its
-/// completion hook. The
-/// Router (and its shards) must outlive the FrontDoor's last in-flight
-/// request — drain or shut the router down before destroying the door.
+/// worker threads read a posted slot's request and payload, and write
+/// only its payload, its status and its connection's done and released
+/// words, through the slot's hooks. The Router (and its shards) must
+/// outlive the FrontDoor's last in-flight request — drain or shut the
+/// router down before destroying the door.
 #pragma once
 
 #include "net/admin.hpp"
@@ -58,14 +69,17 @@
 #include "alpaka/core/fault.hpp"
 #include "alpaka/core/trace.hpp"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <new>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -84,6 +98,10 @@ namespace alpaka::net
         try
         {
             std::rethrow_exception(error);
+        }
+        catch(serve::UnknownTemplateError const&)
+        {
+            return Status::BadRequest;
         }
         catch(serve::DeadlineError const&)
         {
@@ -111,25 +129,6 @@ namespace alpaka::net
         }
     }
 
-    //! A refused admission's wire status: an unknown template is the
-    //! client's BadRequest; the rest maps like a completion error
-    //! (AdmissionError, ShardBusyError included, is Busy).
-    [[nodiscard]] inline auto refusalStatus(std::exception_ptr error) noexcept -> Status
-    {
-        try
-        {
-            std::rethrow_exception(error);
-        }
-        catch(UsageError const&)
-        {
-            return Status::BadRequest;
-        }
-        catch(...)
-        {
-            return statusOf(std::current_exception());
-        }
-    }
-
     //! Poll-thread-local introspection counters (read them from the
     //! poll thread, like everything else on a FrontDoor).
     struct FrontDoorStats
@@ -138,6 +137,8 @@ namespace alpaka::net
         std::uint64_t connectionsClosed = 0;
         std::uint64_t framesIn = 0;
         std::uint64_t framesOut = 0;
+        //! Requests the door handed to their shard (posted). A refusal is
+        //! one of their outcomes: Busy counts in admissionRejected too.
         std::uint64_t requestsSubmitted = 0;
         std::uint64_t responsesOk = 0;
         std::uint64_t responsesError = 0;
@@ -165,6 +166,9 @@ namespace alpaka::net
     class FrontDoor
     {
         static_assert(Cfg::maxTenantBytes <= Cfg::maxPayload, "a Hello payload is a frame payload");
+        static_assert(
+            Cfg::slotsPerConnection >= 1 && Cfg::slotsPerConnection <= 64,
+            "a connection's slots are the bits of one 64-bit word");
 
     public:
         explicit FrontDoor(Router& router) noexcept : router_(router)
@@ -193,6 +197,7 @@ namespace alpaka::net
                 c.rxSlot = nullptr;
                 c.rxPayloadDst = nullptr;
                 c.stalled = false;
+                c.unpostedCount = 0;
                 c.txLen = 0;
                 c.txSent = 0;
                 c.truncateClose = false;
@@ -222,10 +227,10 @@ namespace alpaka::net
                 ++stats_.pollsDelayed;
                 return false;
             }
+            tnow_ = tnow;
             bool progress = false;
             for(auto& c : conns_)
                 progress = pollConn(c) || progress;
-            admitStaged(tnow);
             return progress;
         }
 
@@ -262,42 +267,76 @@ namespace alpaka::net
             Reaping,
         };
 
-        //! Slot states: the poll thread owns Free→Busy (and reads
-        //! Done); the completing worker owns Busy→Done (release, paired
-        //! with the poll thread's acquire — the only cross-thread edge
-        //! in the front door).
-        static constexpr std::uint8_t slotFree = 0;
-        static constexpr std::uint8_t slotBusy = 1;
-        static constexpr std::uint8_t slotDone = 2;
+        static constexpr std::uint64_t allSlots
+            = Cfg::slotsPerConnection == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << Cfg::slotsPerConnection) - 1;
+
+        //! The words resolving threads write (one bit per slot): the only
+        //! cross-thread edges of the front door. A hook sets its slot's
+        //! bit (fetch_or, release) after its other writes; the poll takes
+        //! the whole word (exchange, acquire) before it reads the slots
+        //! (litmus: net/*_slot_done). On a line of their own: the rest of
+        //! a connection is the poll thread's.
+        struct alignas(64) SlotWords
+        {
+            std::atomic<std::uint64_t> done{0}; //!< resolved: status written
+            std::atomic<std::uint64_t> released{0}; //!< a lost worker let go of the payload
+        };
 
         struct Slot : serve::Completion
         {
-            Slot() noexcept : serve::Completion(&onComplete)
+            Slot() noexcept : serve::Completion(&onComplete, &onRelease)
             {
+                request.completion = this;
             }
 
-            //! Busy→Done: the one write of a resolving thread.
+            //! The one write of a resolving thread: status, then the bit.
             static void onComplete(serve::Completion& completion, std::exception_ptr error) noexcept
             {
                 auto& slot = static_cast<Slot&>(completion);
                 slot.status = statusOf(error);
-                ALPAKA_TRACE_INSTANT("net.completion", slot.reqId);
-                slot.state.store(slotDone, std::memory_order_release);
+                ALPAKA_TRACE_INSTANT("net.completion", slot.request.traceId);
+                slot.words->done.fetch_or(slot.bit(), std::memory_order_release); // litmus: net/*_slot_done
             }
 
-            std::atomic<std::uint8_t> state{slotFree};
+            //! After a WorkerLost answer: the lost worker left the payload.
+            static void onRelease(serve::Completion& completion) noexcept
+            {
+                auto& slot = static_cast<Slot&>(completion);
+                slot.words->released.fetch_or(slot.bit(), std::memory_order_release); // litmus: net/*_slot_done
+            }
+
+            [[nodiscard]] auto bit() const noexcept -> std::uint64_t
+            {
+                return std::uint64_t{1} << index;
+            }
+
+            SlotWords* words = nullptr;
+            std::uint8_t index = 0;
             Status status = Status::Ok;
-            //! Here, not after reqId: with the hook pointer, the slot
-            //! stays at 96 bytes.
-            std::uint32_t tmpl = 0;
-            std::uint64_t reqId = 0;
-            std::uint32_t len = 0;
-            std::uint32_t deadlineUs = 0; //!< relative to the poll's tnow; 0 = none
+            //! What the shard admits: template, tenant (the connection's),
+            //! a view of payload, deadline, and the wire reqId as traceId
+            //! (DESIGN.md §10). Written by the poll thread before the post,
+            //! read by the admitting worker.
+            serve::Request request;
             std::array<std::byte, Cfg::maxPayload> payload{};
         };
 
+        //! Frames one poll reads from one connection at most: keeps one
+        //! chatty connection from starving the table, and bounds what one
+        //! post hands the shard.
+        static constexpr std::size_t framesPerPoll = 16;
+
         struct Conn
         {
+            Conn() noexcept
+            {
+                for(std::size_t i = 0; i < slots.size(); ++i)
+                {
+                    slots[i].words = &words;
+                    slots[i].index = static_cast<std::uint8_t>(i);
+                }
+            }
+
             std::unique_ptr<Transport> transport;
             ConnState state = ConnState::Vacant;
             std::array<char, Cfg::maxTenantBytes> tenant{};
@@ -314,6 +353,19 @@ namespace alpaka::net
             std::byte* rxPayloadDst = nullptr;
             std::size_t rxPayloadHave = 0;
             bool stalled = false;
+            //! Frames read but not yet taken by the shard's hand-off; the
+            //! connection reads nothing more while any wait.
+            std::array<Slot*, framesPerPoll> unposted{};
+            std::size_t unpostedCount = 0;
+            //! @}
+            //! \name slot table: one bit per slot; the masks are the poll
+            //! thread's, the words the resolving threads'
+            //! @{
+            SlotWords words;
+            std::uint64_t freeMask = allSlots; //!< ready for the next frame
+            std::uint64_t ready = 0; //!< resolved, response not staged yet
+            std::uint64_t held = 0; //!< answered WorkerLost, payload not released yet
+            std::uint64_t releasedSeen = 0; //!< released, not yet matched with held
             //! @}
             //! \name tx staging (two frames: the duplicate fault needs
             //! room for both copies)
@@ -339,19 +391,6 @@ namespace alpaka::net
             std::array<Slot, Cfg::slotsPerConnection> slots{};
         };
 
-        //! Frames one poll reads from one connection at most: keeps one
-        //! chatty connection from starving the table, and bounds a
-        //! poll's staged admissions.
-        static constexpr std::size_t framesPerPoll = 16;
-        static constexpr std::size_t stagedCapacity = Cfg::maxConnections * framesPerPoll;
-
-        //! A Request frame received this poll, awaiting admitStaged().
-        struct Staged
-        {
-            Conn* conn = nullptr;
-            Slot* slot = nullptr;
-        };
-
         static constexpr auto errIdx(DecodeError e) noexcept -> std::size_t
         {
             return static_cast<std::size_t>(e);
@@ -371,7 +410,9 @@ namespace alpaka::net
             progress = flushTx(c) || progress;
             if(c.state == ConnState::Reaping)
                 return true;
-            if(c.state == ConnState::Draining && !c.byeQueued && allSlotsFree(c) && !c.adminActive)
+            // Bye once every request is answered: held slots were, though
+            // their payload waits for a lost worker (reap waits for it).
+            if(c.state == ConnState::Draining && !c.byeQueued && (c.freeMask | c.held) == allSlots && !c.adminActive)
             {
                 FrameHeader bye;
                 bye.type = FrameType::Bye;
@@ -392,41 +433,58 @@ namespace alpaka::net
                 }
                 return progress; // drained peers send nothing further
             }
+            progress = postFrames(c) != 0 || progress;
+            if(c.unpostedCount != 0)
+                return progress; // the shard's hand-off is full: read nothing more (invariant 20)
             progress = pumpRx(c) || progress;
+            postFrames(c);
             return progress;
         }
 
+        //! A closed connection's late completions land here, unanswered;
+        //! the entry goes Vacant once every slot is free again.
         auto reap(Conn& c) -> bool
         {
-            bool progress = false;
-            bool allFree = true;
-            for(auto& s : c.slots)
-            {
-                auto const st = s.state.load(std::memory_order_acquire);
-                if(st == slotDone)
-                {
-                    s.state.store(slotFree, std::memory_order_relaxed);
-                    progress = true;
-                }
-                else if(st == slotBusy)
-                    allFree = false;
-            }
-            if(allFree)
-            {
-                c.transport.reset();
-                c.state = ConnState::Vacant;
-                ++stats_.connectionsClosed;
-                progress = true;
-            }
-            return progress;
+            harvest(c);
+            auto const resolved = c.ready;
+            for(; c.ready != 0; c.ready &= c.ready - 1)
+                retire(c, c.slots[std::countr_zero(c.ready)]);
+            reclaim(c);
+            if(c.freeMask != allSlots)
+                return resolved != 0;
+            c.transport.reset();
+            c.state = ConnState::Vacant;
+            ++stats_.connectionsClosed;
+            return true;
         }
 
-        [[nodiscard]] auto allSlotsFree(Conn& c) const noexcept -> bool
+        //! Takes what resolving threads published since the last poll. The
+        //! relaxed loads keep an idle connection's words shared in this
+        //! core's cache; only a word with bits pays the exchange.
+        static void harvest(Conn& c) noexcept
         {
-            for(auto& s : c.slots)
-                if(s.state.load(std::memory_order_acquire) != slotFree)
-                    return false;
-            return true;
+            if(c.words.done.load(std::memory_order_relaxed) != 0)
+                c.ready |= c.words.done.exchange(0, std::memory_order_acquire); // litmus: net/*_slot_done
+            if(c.words.released.load(std::memory_order_relaxed) != 0)
+                c.releasedSeen |= c.words.released.exchange(0, std::memory_order_acquire);
+        }
+
+        //! A slot whose request is answered (or never will be): free again,
+        //! unless a lost worker may still write its payload.
+        void retire(Conn& c, Slot& slot) noexcept
+        {
+            if(slot.status == Status::Busy)
+                ++stats_.admissionRejected;
+            (slot.status == Status::WorkerLost ? c.held : c.freeMask) |= slot.bit();
+        }
+
+        //! Held slots whose lost worker let go of the payload: free again.
+        static void reclaim(Conn& c) noexcept
+        {
+            auto const back = c.held & c.releasedSeen;
+            c.held &= ~back;
+            c.releasedSeen &= ~back;
+            c.freeMask |= back;
         }
 
         auto flushTx(Conn& c) -> bool
@@ -520,24 +578,27 @@ namespace alpaka::net
 
         auto pumpResponses(Conn& c) -> bool
         {
+            harvest(c);
             bool progress = false;
-            for(auto& slot : c.slots)
+            while(c.ready != 0)
             {
-                if(slot.state.load(std::memory_order_acquire) != slotDone)
-                    continue;
+                auto& slot = c.slots[std::countr_zero(c.ready)];
+                auto const ok = slot.status == Status::Ok;
                 FrameHeader h;
-                h.type = slot.status == Status::Ok ? FrameType::Response : FrameType::Error;
+                h.type = ok ? FrameType::Response : FrameType::Error;
                 h.status = slot.status;
-                h.tmpl = slot.tmpl;
-                h.reqId = slot.reqId;
-                h.payloadLen = slot.status == Status::Ok ? slot.len : 0;
+                h.tmpl = slot.request.tmpl;
+                h.reqId = slot.request.traceId;
+                h.payloadLen = ok ? static_cast<std::uint32_t>(slot.request.payload.size()) : 0;
                 if(!stageFrame(c, h, slot.payload.data(), true))
                     break; // staging full; retry next poll
-                ALPAKA_TRACE_ASYNC_END("net.request", slot.reqId);
-                slot.status == Status::Ok ? ++stats_.responsesOk : ++stats_.responsesError;
-                slot.state.store(slotFree, std::memory_order_relaxed);
+                ALPAKA_TRACE_ASYNC_END("net.request", h.reqId);
+                ok ? ++stats_.responsesOk : ++stats_.responsesError;
+                c.ready &= ~slot.bit();
+                retire(c, slot);
                 progress = true;
             }
+            reclaim(c);
             return progress;
         }
 
@@ -565,16 +626,13 @@ namespace alpaka::net
                     closeWithError(c);
                     return false;
                 }
-                for(auto& s : c.slots)
+                if(c.freeMask != 0)
                 {
-                    if(s.state.load(std::memory_order_acquire) == slotFree)
-                    {
-                        c.rxSlot = &s;
-                        c.rxPayloadDst = s.payload.data();
-                        c.prepared = true;
-                        c.stalled = false;
-                        return true;
-                    }
+                    c.rxSlot = &c.slots[std::countr_zero(c.freeMask)];
+                    c.rxPayloadDst = c.rxSlot->payload.data();
+                    c.prepared = true;
+                    c.stalled = false;
+                    return true;
                 }
                 if(!c.stalled)
                 {
@@ -727,79 +785,53 @@ namespace alpaka::net
             }
         }
 
+        //! Fills \p slot's request from the decoded header; the slot
+        //! leaves the free mask and waits for postFrames().
         void stageSlot(Conn& c, Slot& slot)
         {
-            slot.reqId = c.header.reqId;
-            slot.tmpl = c.header.tmpl;
-            slot.len = c.header.payloadLen;
-            slot.deadlineUs = c.header.deadlineUs;
+            auto& r = slot.request;
+            r.tmpl = c.header.tmpl;
+            r.tenant = std::string_view(c.tenant.data(), c.tenantLen);
+            r.payload = serve::PayloadView(slot.payload.data(), c.header.payloadLen);
             // The wire reqId is the request's trace correlation id: every
-            // layer below (router, serve, graph) tags its spans with the
-            // same value, so one Perfetto async track spans decode →
-            // route → queue → execute → response staging.
-            ALPAKA_TRACE_ASYNC_BEGIN("net.request", slot.reqId);
+            // layer below (serve, graph) tags its spans with the same
+            // value, so one Perfetto async track spans decode → route →
+            // queue → execute → response staging.
+            r.traceId = c.header.reqId;
+            r.deadline = c.header.deadlineUs != 0
+                             ? std::optional(tnow_ + std::chrono::microseconds(c.header.deadlineUs))
+                             : std::nullopt;
+            ALPAKA_TRACE_ASYNC_BEGIN("net.request", r.traceId);
+            c.freeMask &= ~slot.bit();
             if(c.state == ConnState::Draining)
             {
                 slot.status = Status::Draining;
-                slot.state.store(slotDone, std::memory_order_relaxed);
+                c.ready |= slot.bit();
                 return;
             }
-            slot.state.store(slotBusy, std::memory_order_relaxed);
-            staged_[stagedCount_++] = Staged{&c, &slot};
+            c.unposted[c.unpostedCount++] = &slot;
         }
 
-        //! Admits the poll's staged Request frames: sorted by shard
-        //! (stably — a connection's frames keep their order), rebuilt as
-        //! serve::Requests on this stack frame, admitted in one Router
-        //! call, which makes one Service admission per shard. Each
-        //! request's completion is its slot.
-        void admitStaged(std::chrono::steady_clock::time_point tnow)
+        //! Posts the connection's unposted frames, in order, to its shard
+        //! (serve::Service::post). \returns how many the hand-off took; the
+        //! rest stay unposted (retried next poll) and hold the
+        //! connection's reading.
+        auto postFrames(Conn& c) -> std::size_t
         {
-            auto const n = std::exchange(stagedCount_, std::size_t{0});
+            auto const n = c.unpostedCount;
             if(n == 0)
-                return;
-            for(std::size_t i = 1; i < n; ++i)
-                for(auto j = i; j > 0 && staged_[j - 1].conn->shard > staged_[j].conn->shard; --j)
-                    std::swap(staged_[j - 1], staged_[j]);
-            // Raw storage: only the n entries in use are constructed.
-            alignas(serve::Request) std::array<std::byte, stagedCapacity * sizeof(serve::Request)> requestBytes;
-            alignas(serve::Admission) std::array<std::byte, stagedCapacity * sizeof(serve::Admission)> admissionBytes;
+                return 0;
+            std::array<serve::Request const*, framesPerPoll> requests;
             for(std::size_t i = 0; i < n; ++i)
-            {
-                auto const& [c, slot] = staged_[i];
-                auto* const req = ::new(requestBytes.data() + i * sizeof(serve::Request)) serve::Request{};
-                req->tmpl = slot->tmpl;
-                req->tenant = std::string_view(c->tenant.data(), c->tenantLen);
-                req->payload = serve::PayloadView(slot->payload.data(), slot->len);
-                req->traceId = slot->reqId;
-                req->completion = slot;
-                if(slot->deadlineUs != 0)
-                    req->deadline = tnow + std::chrono::microseconds(slot->deadlineUs);
-                ::new(admissionBytes.data() + i * sizeof(serve::Admission)) serve::Admission{};
-            }
-            auto* const requests = std::launder(reinterpret_cast<serve::Request*>(requestBytes.data()));
-            auto* const admissions = std::launder(reinterpret_cast<serve::Admission*>(admissionBytes.data()));
-            router_.submit({requests, n}, {admissions, n});
-            for(std::size_t i = 0; i < n; ++i)
-            {
-                auto* const slot = staged_[i].slot;
-                auto& outcome = admissions[i];
-                if(outcome.error == nullptr)
-                {
-                    // Admitted: the slot's hook fires once (already did,
-                    // inline, for a request expired or cancelled here).
-                    ++stats_.requestsSubmitted;
-                }
-                else
-                {
-                    slot->status = refusalStatus(outcome.error);
-                    if(slot->status == Status::Busy)
-                        ++stats_.admissionRejected;
-                    slot->state.store(slotDone, std::memory_order_relaxed);
-                }
-                outcome.~Admission();
-                requests[i].~Request();
-            }
+                requests[i] = &c.unposted[i]->request;
+            auto const taken = router_.shard(c.shard).post(std::span(requests.data(), n));
+            stats_.requestsSubmitted += taken;
+            for(std::size_t i = 0; i < taken; ++i)
+                if(requests[i]->traceId != 0)
+                    ALPAKA_TRACE_INSTANT("net.shard_route", requests[i]->traceId);
+            std::copy(c.unposted.begin() + taken, c.unposted.begin() + n, c.unposted.begin());
+            c.unpostedCount = n - taken;
+            return taken;
         }
 
         auto pumpRx(Conn& c) -> bool
@@ -899,13 +931,21 @@ namespace alpaka::net
             if(c.transport != nullptr)
                 c.transport->close();
             c.state = ConnState::Reaping;
+            // Frames the shard never took: nobody will answer them.
+            for(std::size_t i = 0; i < c.unpostedCount; ++i)
+            {
+                c.unposted[i]->status = Status::Draining;
+                c.ready |= c.unposted[i]->bit();
+            }
+            c.unpostedCount = 0;
         }
 
         Router& router_;
         AdminProvider* admin_ = nullptr;
         FrontDoorStats stats_{};
+        //! The current poll's clock, which relative frame deadlines count
+        //! from.
+        std::chrono::steady_clock::time_point tnow_{};
         std::array<Conn, Cfg::maxConnections> conns_{};
-        std::array<Staged, stagedCapacity> staged_{};
-        std::size_t stagedCount_ = 0;
     };
 } // namespace alpaka::net

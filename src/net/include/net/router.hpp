@@ -34,7 +34,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string_view>
 #include <vector>
 
@@ -122,17 +121,9 @@ namespace alpaka::net
 
         //! Routes \p request to its tenant's shard and submits there.
         //! \throws ShardBusyError when that shard's bounded queue is
-        //! full — other shards are unaffected (invariant 22).
+        //! full — other shards are unaffected (invariant 22). (The front
+        //! door posts to its connection's shard directly: shard(i).post.)
         auto submit(serve::Request const& request) -> serve::Future;
-
-        //! Span admission (serve::Service::submit over a span, per
-        //! shard): each run of consecutive requests bound for one shard
-        //! is admitted there in one call, so order within a shard is
-        //! kept and a caller that sorts its span by shard (FrontDoor
-        //! does) pays one call per shard. A run of same-tenant requests
-        //! hashes its tenant once. A request refused for space carries
-        //! ShardBusyError; submit(request) is the span of one.
-        void submit(std::span<serve::Request const> requests, std::span<serve::Admission> out);
 
         //! The shard \p tenant's requests land on (stable for the
         //! router's lifetime — invariant 21).

@@ -69,56 +69,21 @@ namespace alpaka::net
         return id;
     }
 
-    namespace
-    {
-        //! A shard's refusal for space, typed with the shard (invariant 22).
-        auto shardBusy(std::size_t shard, std::exception_ptr error) -> std::exception_ptr
-        {
-            try
-            {
-                std::rethrow_exception(error);
-            }
-            catch(serve::AdmissionError const& e)
-            {
-                return std::make_exception_ptr(ShardBusyError(shard, e.what()));
-            }
-            catch(...)
-            {
-                return error;
-            }
-        }
-    } // namespace
-
-    void Router::submit(std::span<serve::Request const> requests, std::span<serve::Admission> out)
-    {
-        if(out.size() < requests.size())
-            throw UsageError("net::Router::submit: fewer outcome slots than requests");
-        std::size_t begin = 0;
-        while(begin < requests.size())
-        {
-            auto const shard = ring_.shardOf(requests[begin].tenant);
-            auto end = begin + 1;
-            while(end < requests.size()
-                  && (requests[end].tenant == requests[end - 1].tenant || ring_.shardOf(requests[end].tenant) == shard))
-                ++end;
-            for(auto i = begin; i < end; ++i)
-                if(requests[i].traceId != 0)
-                    ALPAKA_TRACE_INSTANT("net.shard_route", requests[i].traceId);
-            shards_[shard]->submit(requests.subspan(begin, end - begin), out.subspan(begin, end - begin));
-            for(auto i = begin; i < end; ++i)
-                if(out[i].error != nullptr)
-                    out[i].error = shardBusy(shard, out[i].error);
-            begin = end;
-        }
-    }
-
     auto Router::submit(serve::Request const& request) -> serve::Future
     {
-        serve::Admission outcome;
-        submit({&request, 1}, {&outcome, 1});
-        if(outcome.error != nullptr)
-            std::rethrow_exception(outcome.error);
-        return std::move(outcome.future);
+        auto const shard = ring_.shardOf(request.tenant);
+        if(request.traceId != 0)
+            ALPAKA_TRACE_INSTANT("net.shard_route", request.traceId);
+        try
+        {
+            return shards_[shard]->submit(request);
+        }
+        catch(serve::AdmissionError const& e)
+        {
+            // A shard's refusal for space, typed with the shard
+            // (invariant 22).
+            throw ShardBusyError(shard, e.what());
+        }
     }
 
     void Router::drain()

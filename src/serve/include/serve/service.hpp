@@ -25,7 +25,10 @@
 ///  * A bounded MPMC admission queue with per-tenant accounting:
 ///    submit() fails fast with AdmissionError when the global or
 ///    per-tenant bound is hit, submitFor() blocks up to a deadline for
-///    space (backpressure, invariant 13).
+///    space (backpressure, invariant 13). post() hands requests to the
+///    workers instead, which admit them through the same bounds and
+///    report every outcome, refusals included, to the request's
+///    Completion (the wire path: admission leaves the poll thread).
 ///  * Per-tenant fair scheduling: workers pick the next non-empty tenant
 ///    round-robin; one pick drains at most one template's maxBatch from
 ///    that tenant before the cursor moves on (invariant 14).
@@ -190,6 +193,25 @@ namespace alpaka::serve
         //! Blocking submit of the full Request surface.
         auto submitFor(Request const& request, std::chrono::nanoseconds timeout) -> Future;
 
+        //! Completion-only hand-off (DESIGN.md §6.2): queues the requests
+        //! \p requests points at for a worker of this service, which admits
+        //! them exactly as submit() would (same reservations, bounds,
+        //! tenant queues and shedding) at the top of its loop. Never
+        //! blocks and never spins: \returns how many requests, a prefix of
+        //! the span, were taken. The rest found the bounded hand-off full;
+        //! nothing of them was read or fired, and they stay the caller's to
+        //! post again. Every taken request resolves exactly once through its
+        //! Completion, whatever happens: its own outcome once admitted;
+        //! AdmissionError when a bound or the queue is full or the service
+        //! is shutting down; UnknownTemplateError; DeadlineError or
+        //! CancelledError (at admission or before dispatch); OverloadError;
+        //! WorkerLostError. The Request objects themselves, not only their
+        //! payload and completion, stay valid and unchanged until their
+        //! completion fired: the hand-off holds their addresses. \throws
+        //! UsageError, before taking any, when a request has no
+        //! Completion.
+        auto post(std::span<Request const* const> requests) -> std::size_t;
+
         //! Admits \p requests in one step (DESIGN.md §6.2): one admission
         //! gate raise, one global queue reservation, one clock read and
         //! one worker wake for the whole span; tenant bounds are reserved
@@ -203,7 +225,8 @@ namespace alpaka::serve
         //! nothing. submit() and submitFor() are its span of one.
         void submit(std::span<Request const> requests, std::span<Admission> out);
 
-        //! Blocks until no request is queued, in flight, or resolving.
+        //! Blocks until no request is posted, queued, in flight, or
+        //! resolving.
         void drain();
 
         //! Bounded shutdown (the drain-tolerates-a-dead-worker
@@ -245,6 +268,11 @@ namespace alpaka::serve
             //! Fired exactly once (resolve()): the request's own
             //! Completion, or its self-owning Future::State.
             Completion* completion = nullptr;
+            //! The request's Completion when it asked to hear when a lost
+            //! worker lets go of the payload (Completion::release); never
+            //! cleared, so the losing worker can still reach it after the
+            //! winner's resolve() cleared completion.
+            Completion* release = nullptr;
             std::chrono::steady_clock::time_point admitted;
             //! Shed with DeadlineError once passed (empty = never).
             std::optional<std::chrono::steady_clock::time_point> deadline;
@@ -398,6 +426,11 @@ namespace alpaka::serve
             std::vector<RequestItem> items;
             //! Reused per-request outcome buffer of execute().
             std::vector<std::exception_ptr> outcomes;
+            //! Reused copies of the posted requests one admitPosted() pass
+            //! took from the hand-off, and their outcomes (sized once, at
+            //! construction, to the hand-off's capacity).
+            std::vector<Request> posted;
+            std::vector<Admission> postedOutcomes;
             std::shared_ptr<Beat> beat = std::make_shared<Beat>();
             //! The dispatch currently executing (set at pop, cleared at
             //! completion, both under mutex_); the supervisor reads it to
@@ -523,6 +556,10 @@ namespace alpaka::serve
             std::span<Admission> out,
             std::chrono::steady_clock::time_point now,
             std::size_t& staged) -> Waiting;
+        //! Takes what post() queued from the hand-off and admits it through
+        //! admit(); a refusal fires the request's completion. One worker at
+        //! a time, so posted requests queue in post order.
+        void admitPosted(Worker& worker);
         //! Lock-free template lookup; nullptr for an unknown id.
         [[nodiscard]] auto templateFind(TemplateId id) -> TemplateState*;
         //! Lock-free tenant lookup through the open-addressed index;
@@ -569,8 +606,8 @@ namespace alpaka::serve
         //! as completed, \p failures of them as failed. Caller holds
         //! mutex_; finishResolving() follows the resolution.
         void settleInFlightLocked(std::vector<Pending> const& requests, std::size_t failures);
-        //! drain()'s predicate: queued == in-flight == resolving == 0.
-        //! Caller holds mutex_.
+        //! drain()'s predicate: posted == queued == in-flight == resolving
+        //! == 0. Caller holds mutex_.
         [[nodiscard]] auto idleLocked() const -> bool;
         //! Drops resolving_ by \p count once those futures have
         //! resolved (their stats settled before) and wakes drain() if
@@ -622,17 +659,31 @@ namespace alpaka::serve
         //! so its own requests keep their ring (FIFO) order (§8.7).
         static constexpr std::size_t admitRingCells = 256;
         core::MpmcRing<Pending> admitRing_{admitRingCells};
+        //! post()'s hand-off: the addresses of posted requests, waiting
+        //! for a worker's admitPosted(). Bounded and allocated once; a
+        //! cell holds one pointer (litmus: serve/*_admit_ring_cell, the
+        //! same ring protocol).
+        static constexpr std::size_t handoffCells = 64;
+        core::MpmcRing<Request const*> handoff_{handoffCells};
         //! Dekker gate against shutdown (litmus: serve/*_admit_stop_gate):
-        //! a submitter raises the gate (seq_cst) and THEN checks stop_;
-        //! shutdown stores stop_ and spins until the gate is zero before
-        //! its leftover sweep. Either the submitter sees stop_ and backs
-        //! out, or shutdown waits for the ring push to land — no admitted
-        //! request is ever orphaned in the ring.
-        std::atomic<std::size_t> admitGate_{0};
+        //! a submitter or poster raises the gate (seq_cst) and THEN checks
+        //! stop_; shutdown stores stop_ and spins until the gate is zero
+        //! before its leftover sweeps. Either the submitter sees stop_ and
+        //! backs out, or shutdown waits for the ring or hand-off push to
+        //! land — no request is ever orphaned in either.
+        alignas(64) std::atomic<std::size_t> admitGate_{0};
+        //! Posted requests not yet through admitPosted(): raised by post()
+        //! before its pushes, dropped (release) after their admission, so
+        //! a reader that sees it fall also sees what they queued. On the
+        //! gate's cache line, which post() writes anyway, and off the line
+        //! of queued_, which the workers write per batch.
+        std::atomic<std::size_t> posted_{0};
         std::atomic<bool> stop_{false};
         //! Admitted, undispatched requests (ring-staged + tenant-queued);
         //! the global bound is enforced by fetch_add-reserve on this.
-        std::atomic<std::size_t> queued_{0};
+        alignas(64) std::atomic<std::size_t> queued_{0};
+        //! Held by the one worker in admitPosted().
+        std::atomic<bool> admittingPosted_{false};
         std::atomic<std::uint64_t> admitted_{0};
         std::atomic<std::uint64_t> rejected_{0};
         //! Worker wake word (replaces the old workCv_, which needed

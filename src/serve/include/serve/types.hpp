@@ -89,6 +89,14 @@ namespace alpaka::serve
     };
     //! @}
 
+    //! The request named a template id the service never registered:
+    //! refused at admission (the wire answers BadRequest).
+    class UnknownTemplateError : public UsageError
+    {
+    public:
+        using UsageError::UsageError;
+    };
+
     //! Cooperative cancellation handle: the client keeps a copy, attaches
     //! a copy to a Request, and may cancel() at any time. The service
     //! checks at dispatch time — before any kernel work — and sheds a
@@ -178,22 +186,30 @@ namespace alpaka::serve
         std::size_t size_ = 0;
     };
 
-    //! Intrusive, non-owning completion target of one admitted request
-    //! (DESIGN.md §6.2): the service calls complete() exactly once with
-    //! the request's error (nullptr on success), after the request's stats
-    //! settled, on whichever thread resolved it — a worker, the
-    //! supervisor, shutdown, or the submitter itself for a request already
-    //! expired or cancelled at admission. A refused request's completion
-    //! never fires. The caller embeds the Completion in state it owns (the
+    //! Intrusive, non-owning completion target of one request (DESIGN.md
+    //! §6.2): the service calls complete() exactly once with the request's
+    //! error (nullptr on success), after the request's stats settled, on
+    //! whichever thread resolved it — a worker, the supervisor, shutdown,
+    //! or the submitter itself for a request already expired or cancelled
+    //! at admission. A request refused by submit() never fires its
+    //! completion; a posted request (Service::post) fires it for its
+    //! refusal too. The caller embeds the Completion in state it owns (the
     //! net front door's request slot, Future's state) and keeps it alive
-    //! until it fired; the hook must not throw and must not block the
+    //! until it fired; the hooks must not throw and must not block the
     //! resolving thread for long.
+    //!
+    //! A WorkerLostError fires while the lost worker may still be running
+    //! the request's kernel over its payload. A caller that reuses payload
+    //! memory passes a release hook: the service calls it once that worker
+    //! has let go of the payload (it finished and lost the batch claim).
+    //! A worker that never returns never releases.
     class Completion
     {
     public:
         using Hook = void (*)(Completion&, std::exception_ptr) noexcept;
+        using ReleaseHook = void (*)(Completion&) noexcept;
 
-        explicit Completion(Hook hook) noexcept : hook_(hook)
+        explicit Completion(Hook hook, ReleaseHook release = nullptr) noexcept : hook_(hook), release_(release)
         {
         }
         //! The service holds the address: not copyable.
@@ -205,8 +221,20 @@ namespace alpaka::serve
             hook_(*this, std::move(error));
         }
 
+        //! True when the caller wants release() after a WorkerLostError.
+        [[nodiscard]] auto tracksRelease() const noexcept -> bool
+        {
+            return release_ != nullptr;
+        }
+
+        void release() noexcept
+        {
+            release_(*this);
+        }
+
     private:
         Hook hook_;
+        ReleaseHook release_;
     };
 
     //! One unit of client work against a registered template — the full
@@ -233,7 +261,8 @@ namespace alpaka::serve
         std::uint64_t traceId = 0;
         //! Where the outcome goes: nullptr (default) resolves through the
         //! serve::Future the submit returns; otherwise the service fires
-        //! this Completion instead and returns no future.
+        //! this Completion instead and returns no future. Service::post
+        //! requires one.
         Completion* completion = nullptr;
     };
 

@@ -100,6 +100,8 @@ namespace alpaka::serve
         if(info.simDev.has_value())
             worker->simStream.emplace(*info.simDev);
         worker->pool = info.pool;
+        worker->posted.reserve(handoffCells);
+        worker->postedOutcomes.resize(handoffCells);
         return worker;
     }
 
@@ -214,10 +216,25 @@ namespace alpaka::serve
             }
         }
 
-        // Whatever is still staged or queued now has nobody left to serve
-        // it: every joinable worker exited (and drained while it could)
-        // or is stuck with its lost flag set. Resolve the leftovers so
-        // invariant 16 holds across shutdown too.
+        // Whatever is still posted, staged or queued now has nobody left
+        // to serve it: every joinable worker exited (and drained while it
+        // could) or is stuck with its lost flag set. Resolve the leftovers
+        // so invariant 16 holds across shutdown too. A posted request was
+        // never admitted: it is refused, as a post after stop would be.
+        std::size_t refused = 0;
+        Request const* leftover = nullptr;
+        std::exception_ptr refusal;
+        while(handoff_.pop(leftover))
+        {
+            if(refusal == nullptr)
+                refusal = std::make_exception_ptr(
+                    AdmissionError("serve::Service: posted request refused at shutdown (no live worker remained)"));
+            rejected_.fetch_add(1, std::memory_order_relaxed);
+            leftover->completion->complete(refusal);
+            ++refused;
+        }
+        if(refused != 0)
+            posted_.fetch_sub(refused, std::memory_order_release);
         std::vector<Pending> abandoned;
         {
             std::scoped_lock lock(mutex_);
@@ -412,7 +429,7 @@ namespace alpaka::serve
             if(templateFind(r.tmpl) == nullptr)
             {
                 out[i].error = std::make_exception_ptr(
-                    UsageError("serve::Service: unknown template id " + std::to_string(r.tmpl)));
+                    UnknownTemplateError("serve::Service: unknown template id " + std::to_string(r.tmpl)));
                 continue;
             }
             if(r.cancel.cancelled())
@@ -550,7 +567,8 @@ namespace alpaka::serve
                 future->self = future; // released as the future resolves
                 completion = future.get();
             }
-            Pending p{templateFind(r.tmpl), t, r.payload, completion, now, r.deadline, r.cancel, r.traceId};
+            auto* const release = r.completion != nullptr && r.completion->tracksRelease() ? r.completion : nullptr;
+            Pending p{templateFind(r.tmpl), t, r.payload, completion, release, now, r.deadline, r.cancel, r.traceId};
             // Full ring: move its contents to the tenant queues (the
             // reservations guarantee them room) and retry. A failed
             // drain only means another producer's cell is mid-commit.
@@ -700,6 +718,69 @@ namespace alpaka::serve
     {
         auto const deadline = std::chrono::steady_clock::now() + timeout;
         return admitOne(request, &deadline);
+    }
+
+    auto Service::post(std::span<Request const* const> requests) -> std::size_t
+    {
+        for(auto const* r : requests)
+            if(r->completion == nullptr)
+                throw UsageError("serve::Service::post: a posted request needs a completion");
+        if(requests.empty())
+            return 0;
+        // The submitters' Dekker pair with shutdown covers the hand-off
+        // too (litmus: serve/*_admit_stop_gate): past this stop_ check,
+        // shutdown's gate drain waits for the pushes below, and its sweep
+        // or a worker sees them.
+        GateGuard gate(admitGate_);
+        if(stop_.load(std::memory_order_seq_cst))
+        {
+            rejected_.fetch_add(requests.size(), std::memory_order_relaxed);
+            auto const error = std::make_exception_ptr(AdmissionError("serve::Service: post while shutting down"));
+            for(auto const* r : requests)
+                r->completion->complete(error);
+            return requests.size();
+        }
+        // Counted before the pushes: a worker's drop never passes zero.
+        posted_.fetch_add(requests.size(), std::memory_order_relaxed);
+        std::size_t taken = 0;
+        for(auto const* r : requests)
+        {
+            if(!handoff_.push(r))
+                break; // full: the rest stays the caller's
+            ++taken;
+        }
+        if(taken != requests.size())
+            posted_.fetch_sub(requests.size() - taken, std::memory_order_relaxed);
+        if(taken != 0)
+            workWord_.publish(); // wake a parked worker (elided when none is)
+        return taken;
+    }
+
+    void Service::admitPosted(Worker& worker)
+    {
+        if(posted_.load(std::memory_order_relaxed) == 0 || admittingPosted_.exchange(true, std::memory_order_acquire))
+            return;
+        auto& requests = worker.posted;
+        Request const* request = nullptr;
+        while(requests.size() < handoffCells && handoff_.pop(request))
+            requests.push_back(*request);
+        auto const n = requests.size();
+        if(n != 0)
+        {
+            auto const out = std::span(worker.postedOutcomes).first(n);
+            admit(requests, out, nullptr);
+            // A posted request's refusal is its outcome: it goes to the
+            // completion, after admit() counted it rejected.
+            for(std::size_t i = 0; i < n; ++i)
+                if(!out[i].admitted)
+                    requests[i].completion->complete(std::exchange(out[i].error, nullptr));
+            requests.clear();
+        }
+        admittingPosted_.store(false, std::memory_order_release);
+        // Release: whoever sees the count fall sees what these queued
+        // (litmus: serve/*_posted_count).
+        if(n != 0)
+            posted_.fetch_sub(n, std::memory_order_release);
     }
 
     // ------------------------------------------------------------------
@@ -955,17 +1036,22 @@ namespace alpaka::serve
             // (no lost wakeup — the snapshot-check-park protocol of
             // PublishWord).
             auto const ticket = workWord_.snapshot();
+            admitPosted(worker);
             auto work = acquireBatch(worker);
             bool exit = false;
             bool popped = false;
+            bool idle = false;
             {
                 std::unique_lock lock(mutex_);
                 drainAdmissionLocked();
-                if(stop_.load(std::memory_order_seq_cst) && queued_.load(std::memory_order_seq_cst) == 0
-                   && admitGate_.load(std::memory_order_seq_cst) == 0)
+                if(stop_.load(std::memory_order_seq_cst) && admitGate_.load(std::memory_order_seq_cst) == 0
+                   && posted_.load(std::memory_order_seq_cst) == 0 && queued_.load(std::memory_order_seq_cst) == 0)
                 {
-                    // Stopped, nothing queued, and no admission mid-push
-                    // (the gate read pairs with the submitter's raise).
+                    // Stopped, no admission mid-push (the gate read pairs
+                    // with the submitter's raise), nothing posted and
+                    // nothing queued (read after the posted count, which
+                    // drops only once its requests queued; litmus:
+                    // serve/*_posted_count).
                     exit = true;
                 }
                 else if(queued_.load(std::memory_order_relaxed) > 0)
@@ -983,8 +1069,13 @@ namespace alpaka::serve
                         worker.beat->busySinceNs.store(nowNs(), std::memory_order_release);
                     }
                 }
+                // The posted requests this pass refused may have been the
+                // last thing drain() waited for.
+                idle = !popped && idleLocked();
             }
             spaceCv_.notify_all();
+            if(idle)
+                idleCv_.notify_all();
             resolveShed(shed);
             if(exit)
                 break;
@@ -1022,7 +1113,14 @@ namespace alpaka::serve
             // already resolved everything with WorkerLostError — this
             // thread is a zombie; its results are discarded and it exits.
             if(work->claimed.exchange(true, std::memory_order_acq_rel))
+            {
+                // The payloads are the callers' again from here: tell the
+                // completions that asked (Completion::release).
+                for(auto const& request : work->batch.requests)
+                    if(request.release != nullptr)
+                        request.release->release();
                 break;
+            }
 
             // Stats settle before any future resolves: the batch moves
             // from in-flight to resolving in one mutex_ section, so a
@@ -1331,7 +1429,11 @@ namespace alpaka::serve
 
     auto Service::idleLocked() const -> bool
     {
-        return queued_.load(std::memory_order_relaxed) == 0 && inFlight_ == 0 && resolving_ == 0;
+        // The posted count first (acquire): once it read zero, what its
+        // requests queued is visible to the queued_ read (litmus:
+        // serve/*_posted_count).
+        return posted_.load(std::memory_order_acquire) == 0 && queued_.load(std::memory_order_relaxed) == 0
+               && inFlight_ == 0 && resolving_ == 0;
     }
 
     void Service::finishResolving(std::size_t count)

@@ -16,6 +16,9 @@
 #if defined(__x86_64__) && defined(__GNUC__)
 #    include <immintrin.h>
 #endif
+#if defined(__linux__)
+#    include <sched.h>
+#endif
 
 namespace threadpool::detail
 {
@@ -31,12 +34,27 @@ namespace threadpool::detail
     //! Default spin iterations before parking in the futex.
     inline constexpr int spinBeforePark = 4096;
 
-    //! Actual spin budget for this machine: zero on single-hardware-thread
-    //! machines, where spinning can never observe progress by another core
-    //! and only steals the timeslice of the thread being waited for.
+    //! CPUs the calling thread may run on: its affinity mask, which the
+    //! threads it creates inherit (hardware_concurrency() where the mask
+    //! cannot be read).
+    [[nodiscard]] inline auto usableCpus() noexcept -> unsigned
+    {
+#if defined(__linux__)
+        cpu_set_t set;
+        CPU_ZERO(&set);
+        if(sched_getaffinity(0, sizeof(set), &set) == 0)
+            return static_cast<unsigned>(CPU_COUNT(&set));
+#endif
+        return std::thread::hardware_concurrency();
+    }
+
+    //! Spin budget of the threads a pool, team or service built on the
+    //! calling thread starts: zero when that thread may use only one CPU,
+    //! where spinning can never observe progress by another core and only
+    //! steals the timeslice of the thread being waited for.
     [[nodiscard]] inline auto machineSpinBudget() noexcept -> int
     {
-        return std::thread::hardware_concurrency() <= 1 ? 0 : spinBeforePark;
+        return usableCpus() <= 1 ? 0 : spinBeforePark;
     }
 
     //! Odd generations mean "slot open", even mean "closed" (the parity

@@ -7,7 +7,8 @@
 /// lane); the shedding/supervision tests force their faults naturally
 /// (slow bodies, short deadlines) and run everywhere, as do the
 /// serve::Completion contract tests (one firing per admitted request,
-/// whichever way it ends; none for a refusal).
+/// whichever way it ends; none for a refusal) and the Service::post
+/// contract tests (one firing per posted request, refusals included).
 #include <serve/service.hpp>
 
 #include <alpaka/alpaka.hpp>
@@ -15,11 +16,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <new>
+#include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -139,10 +143,13 @@ namespace
     //! A caller-owned completion target that counts its firings and
     //! records what stats().completed read inside the hook: the probe of
     //! the serve::Completion contract (fires once per admitted request,
-    //! after the stats settled; never for a refusal).
+    //! after the stats settled; never for a refusal). With \p tracksRelease
+    //! it also counts Completion::release calls.
     struct CountingCompletion : serve::Completion
     {
-        explicit CountingCompletion(serve::Service& svc) noexcept : serve::Completion(&onComplete), svc(&svc)
+        explicit CountingCompletion(serve::Service& svc, bool tracksRelease = false) noexcept
+            : serve::Completion(&onComplete, tracksRelease ? &onRelease : nullptr)
+            , svc(&svc)
         {
         }
 
@@ -152,6 +159,11 @@ namespace
             self.completedSeen = self.svc->stats().completed;
             self.error = e;
             self.fired.fetch_add(1, std::memory_order_release);
+        }
+
+        static void onRelease(serve::Completion& completion) noexcept
+        {
+            static_cast<CountingCompletion&>(completion).released.fetch_add(1, std::memory_order_release);
         }
 
         //! Bounded wait for the first firing.
@@ -171,6 +183,7 @@ namespace
         std::exception_ptr error;
         std::uint64_t completedSeen = 0;
         std::atomic<int> fired{0};
+        std::atomic<int> released{0};
     };
 
     [[nodiscard]] auto oneWorker() -> serve::ServiceOptions
@@ -198,6 +211,16 @@ namespace
         r.tenant = tenant;
         r.payload = payload;
         return r;
+    }
+
+    //! \p request with \p completion attached, posted (Service::post). The
+    //! request object must outlive the completion's firing. \returns
+    //! whether the hand-off took it.
+    auto postWith(serve::Service& svc, serve::Request& request, CountingCompletion& completion) -> bool
+    {
+        request.completion = &completion;
+        serve::Request const* const posted = &request;
+        return svc.post({&posted, 1}) == 1;
     }
 } // namespace
 
@@ -770,6 +793,389 @@ TEST(ServeCompletion, NeverFiresForARefusal)
         EXPECT_EQ(c->fired.load(), 0);
     EXPECT_DOUBLE_EQ(p.out, 0.0);
     EXPECT_EQ(svc.stats().completed, 2u);
+}
+
+// ------------------------------------------------------------ post contract
+//
+// Service::post: every request the hand-off took resolves exactly once
+// through its completion, refusals included, on a worker (or on the
+// poster, for a post after stop).
+
+TEST(ServePost, FiresOnceOnSuccessAndOnAThrowingBodyAndDrainWaitsForIt)
+{
+    serve::Service svc(oneWorker());
+    auto const scaleId = svc.registerTemplate(scaleTemplate(4));
+    serve::TemplateDesc throwing;
+    throwing.name = "throwing";
+    throwing.body = [](serve::RequestItem const&) { throw std::runtime_error("body failed"); };
+    auto const throwId = svc.registerTemplate(throwing);
+
+    Payload p{3.0, 0.0};
+    CountingCompletion ok(svc);
+    auto okRequest = requestOf(scaleId, &p);
+    ASSERT_TRUE(postWith(svc, okRequest, ok));
+    CountingCompletion failed(svc);
+    auto failRequest = requestOf(throwId, nullptr);
+    ASSERT_TRUE(postWith(svc, failRequest, failed));
+    svc.drain(); // covers the hand-off: both fired before it returns
+    EXPECT_EQ(ok.fired.load(), 1);
+    EXPECT_EQ(failed.fired.load(), 1);
+    EXPECT_EQ(ok.error, nullptr);
+    EXPECT_DOUBLE_EQ(p.out, 7.0);
+    EXPECT_TRUE(failsWith<std::runtime_error>(failed.error));
+    EXPECT_GE(ok.completedSeen, 1u) << "the hook reads its request as completed";
+    EXPECT_GE(failed.completedSeen, 1u);
+    auto const stats = svc.stats();
+    EXPECT_EQ(stats.admitted, 2u);
+    EXPECT_EQ(stats.completed, 2u);
+    EXPECT_EQ(stats.failed, 1u);
+}
+
+TEST(ServePost, FiresOnceForTheTenantBoundAFullQueueAndAnUnknownTemplate)
+{
+    Gate gate;
+    serve::ServiceOptions options;
+    options.cpuWorkers = 1;
+    options.queueCapacity = 1;
+    options.maxTenants = 1;
+    serve::Service svc(std::move(options));
+    auto const gateId = svc.registerTemplate(gate.desc());
+    auto const scaleId = svc.registerTemplate(scaleTemplate(1));
+    int gatePayload = 0;
+    auto gateFuture = svc.submit(gateId, "t", &gatePayload);
+    gate.awaitStarted();
+    Payload queuedPayload{1.0, 0.0};
+    auto filler = svc.submit(scaleId, "t", &queuedPayload); // the queue's one place
+
+    // Posted while the only worker is held: it decides once the gate opens.
+    Payload p{1.0, 0.0};
+    CountingCompletion unknown(svc);
+    auto unknownRequest = requestOf(9999, &p);
+    CountingCompletion tenantBound(svc);
+    auto tenantRequest = requestOf(scaleId, &p, "second-tenant");
+    CountingCompletion full(svc);
+    auto fullRequest = requestOf(scaleId, &p);
+    ASSERT_TRUE(postWith(svc, unknownRequest, unknown));
+    ASSERT_TRUE(postWith(svc, tenantRequest, tenantBound));
+    ASSERT_TRUE(postWith(svc, fullRequest, full));
+    std::this_thread::sleep_for(10ms);
+    for(auto const* c : {&unknown, &tenantBound, &full})
+        EXPECT_EQ(c->fired.load(), 0) << "decided by the worker, not the poster";
+
+    gate.release.store(true, std::memory_order_release);
+    gateFuture.wait();
+    filler.wait();
+    svc.drain();
+    for(auto const* c : {&unknown, &tenantBound, &full})
+        EXPECT_EQ(c->fired.load(), 1);
+    EXPECT_TRUE(failsWith<serve::UnknownTemplateError>(unknown.error));
+    EXPECT_TRUE(failsWith<serve::AdmissionError>(tenantBound.error)) << "tenant bound";
+    EXPECT_TRUE(failsWith<serve::AdmissionError>(full.error)) << "queue full";
+    EXPECT_DOUBLE_EQ(p.out, 0.0);
+    auto const stats = svc.stats();
+    EXPECT_EQ(stats.completed, 2u) << "refusals are not completions";
+    EXPECT_EQ(stats.rejected, 2u);
+}
+
+TEST(ServePost, FiresOnceWhenExpiredOrCancelledAtAdmissionOrBeforeDispatch)
+{
+    Gate gate;
+    serve::Service svc(oneWorker());
+    auto const gateId = svc.registerTemplate(gate.desc());
+    auto const scaleId = svc.registerTemplate(scaleTemplate(8));
+    Payload doomed{1.0, 0.0};
+
+    // At admission: already past its deadline, already cancelled.
+    CountingCompletion expiredEarly(svc);
+    auto expiredEarlyRequest = requestOf(scaleId, &doomed);
+    expiredEarlyRequest.deadline = std::chrono::steady_clock::now() - 1ms;
+    auto token = serve::CancelToken::make();
+    token.cancel();
+    CountingCompletion cancelledEarly(svc);
+    auto cancelledEarlyRequest = requestOf(scaleId, &doomed);
+    cancelledEarlyRequest.cancel = token;
+    ASSERT_TRUE(postWith(svc, expiredEarlyRequest, expiredEarly));
+    ASSERT_TRUE(postWith(svc, cancelledEarlyRequest, cancelledEarly));
+    ASSERT_TRUE(expiredEarly.awaitFired());
+    ASSERT_TRUE(cancelledEarly.awaitFired());
+    EXPECT_TRUE(failsWith<serve::DeadlineError>(expiredEarly.error));
+    EXPECT_TRUE(failsWith<serve::CancelledError>(cancelledEarly.error));
+
+    // Before dispatch: admitted behind a held gate, doomed while queued.
+    int gatePayload = 0;
+    auto gateFuture = svc.submit(gateId, "t", &gatePayload);
+    gate.awaitStarted();
+    CountingCompletion expiredLate(svc);
+    auto expiredLateRequest = requestOf(scaleId, &doomed);
+    expiredLateRequest.deadline = std::chrono::steady_clock::now() + 10ms;
+    auto lateToken = serve::CancelToken::make();
+    CountingCompletion cancelledLate(svc);
+    auto cancelledLateRequest = requestOf(scaleId, &doomed);
+    cancelledLateRequest.cancel = lateToken;
+    ASSERT_TRUE(postWith(svc, expiredLateRequest, expiredLate));
+    ASSERT_TRUE(postWith(svc, cancelledLateRequest, cancelledLate));
+    lateToken.cancel();
+    std::this_thread::sleep_for(20ms); // the deadline lapses
+    gate.release.store(true, std::memory_order_release);
+    ASSERT_TRUE(expiredLate.awaitFired());
+    ASSERT_TRUE(cancelledLate.awaitFired());
+    EXPECT_TRUE(failsWith<serve::DeadlineError>(expiredLate.error));
+    EXPECT_TRUE(failsWith<serve::CancelledError>(cancelledLate.error));
+    gateFuture.wait();
+
+    svc.drain();
+    for(auto const* c : {&expiredEarly, &cancelledEarly, &expiredLate, &cancelledLate})
+        EXPECT_EQ(c->fired.load(), 1);
+    EXPECT_DOUBLE_EQ(doomed.out, 0.0);
+    EXPECT_EQ(svc.stats().shedExpired, 2u);
+    EXPECT_EQ(svc.stats().shedCancelled, 2u);
+}
+
+TEST(ServePost, FiresOnceWhenShedUnderOverload)
+{
+    Gate gate;
+    serve::ServiceOptions options;
+    options.cpuWorkers = 1;
+    options.shedWatermark = 1;
+    serve::Service svc(std::move(options));
+    auto const gateId = svc.registerTemplate(gate.desc());
+    auto const scaleId = svc.registerTemplate(scaleTemplate(1));
+    int gatePayload = 0;
+    auto gateFuture = svc.submit(gateId, "t", &gatePayload);
+    gate.awaitStarted();
+
+    Payload filler{1.0, 0.0};
+    auto fillerFuture = svc.submit(scaleId, "t", &filler); // deadline-less: never shed
+    Payload victim{1.0, 0.0};
+    CountingCompletion overloaded(svc);
+    auto request = requestOf(scaleId, &victim);
+    request.deadline = std::chrono::steady_clock::now() + 1h;
+    ASSERT_TRUE(postWith(svc, request, overloaded));
+    std::this_thread::sleep_for(10ms);
+    EXPECT_EQ(overloaded.fired.load(), 0) << "the held worker has not admitted it yet";
+
+    // The worker admits it behind the filler, past the watermark, and its
+    // own admission sheds it.
+    gate.release.store(true, std::memory_order_release);
+    ASSERT_TRUE(overloaded.awaitFired());
+    gateFuture.wait();
+    fillerFuture.wait();
+    svc.drain();
+    EXPECT_EQ(overloaded.fired.load(), 1);
+    EXPECT_TRUE(failsWith<serve::OverloadError>(overloaded.error));
+    EXPECT_DOUBLE_EQ(victim.out, 0.0);
+    EXPECT_EQ(svc.stats().shedOverload, 1u);
+}
+
+TEST(ServePost, FiresOnceForAWorkerLostAndReleasesOnceTheZombieLetGo)
+{
+    std::atomic<bool> stallArmed{true};
+    std::atomic<bool> zombieDone{false};
+    serve::TemplateDesc slow;
+    slow.name = "slow";
+    slow.body = [&](serve::RequestItem const&)
+    {
+        if(stallArmed.exchange(false))
+        {
+            std::this_thread::sleep_for(300ms);
+            zombieDone.store(true, std::memory_order_release);
+        }
+    };
+    serve::ServiceOptions options;
+    options.cpuWorkers = 1;
+    options.stallTimeout = 50ms;
+    serve::Service svc(std::move(options));
+    auto const slowId = svc.registerTemplate(slow);
+
+    CountingCompletion lost(svc, /*tracksRelease=*/true);
+    auto lostRequest = requestOf(slowId, nullptr);
+    ASSERT_TRUE(postWith(svc, lostRequest, lost));
+    ASSERT_TRUE(lost.awaitFired());
+    EXPECT_TRUE(failsWith<serve::WorkerLostError>(lost.error));
+    EXPECT_FALSE(zombieDone.load(std::memory_order_acquire)) << "answered by the supervisor";
+    EXPECT_EQ(lost.released.load(), 0) << "the zombie still runs the kernel";
+
+    auto const until = std::chrono::steady_clock::now() + 5s;
+    while(lost.released.load(std::memory_order_acquire) == 0 && std::chrono::steady_clock::now() < until)
+        std::this_thread::sleep_for(1ms);
+    EXPECT_EQ(lost.released.load(), 1);
+    EXPECT_TRUE(zombieDone.load(std::memory_order_acquire)) << "released only after the kernel returned";
+
+    CountingCompletion after(svc, /*tracksRelease=*/true);
+    auto afterRequest = requestOf(slowId, nullptr);
+    ASSERT_TRUE(postWith(svc, afterRequest, after));
+    ASSERT_TRUE(after.awaitFired());
+    EXPECT_EQ(after.error, nullptr);
+    EXPECT_TRUE(svc.shutdown().clean);
+    EXPECT_EQ(lost.fired.load(), 1);
+    EXPECT_EQ(lost.released.load(), 1);
+    EXPECT_EQ(after.fired.load(), 1);
+    EXPECT_EQ(after.released.load(), 0) << "only a lost worker's requests are released";
+}
+
+TEST(ServePost, ShutdownRefusesWhatIsStillInTheHandOff)
+{
+    // A live worker: it leaves the gate after stop_ and refuses the
+    // posted requests it still finds in the hand-off.
+    {
+        Gate gate;
+        serve::Service svc(oneWorker());
+        auto const gateId = svc.registerTemplate(gate.desc());
+        auto const scaleId = svc.registerTemplate(scaleTemplate(4));
+        int gatePayload = 0;
+        auto gateFuture = svc.submit(gateId, "t", &gatePayload);
+        gate.awaitStarted();
+        Payload p{1.0, 0.0};
+        std::vector<serve::Request> requests(3, requestOf(scaleId, &p));
+        std::vector<std::unique_ptr<CountingCompletion>> completions;
+        for(auto& r : requests)
+        {
+            completions.push_back(std::make_unique<CountingCompletion>(svc));
+            ASSERT_TRUE(postWith(svc, r, *completions.back()));
+        }
+        serve::ShutdownReport report;
+        std::thread stopper([&] { report = svc.shutdown(5s); });
+        // Post until one is refused on the spot, on this thread: from then
+        // on stop_ is set. The ones taken before it wait in the hand-off
+        // with the three, and the worker must refuse them all once the
+        // gate opens.
+        std::vector<serve::Request> late(60, requestOf(scaleId, &p));
+        std::vector<std::unique_ptr<CountingCompletion>> lateCompletions;
+        bool refusedInline = false;
+        for(auto& r : late)
+        {
+            lateCompletions.push_back(std::make_unique<CountingCompletion>(svc));
+            EXPECT_TRUE(postWith(svc, r, *lateCompletions.back()));
+            if(lateCompletions.back()->fired.load() == 1)
+            {
+                refusedInline = true;
+                break;
+            }
+            std::this_thread::sleep_for(5ms);
+        }
+        EXPECT_TRUE(refusedInline) << "shutdown never stopped admission";
+        gate.release.store(true, std::memory_order_release);
+        stopper.join();
+        gateFuture.wait();
+        EXPECT_TRUE(report.clean);
+        for(auto const* all : {&completions, &lateCompletions})
+            for(auto const& c : *all)
+            {
+                EXPECT_EQ(c->fired.load(), 1);
+                EXPECT_TRUE(failsWith<serve::AdmissionError>(c->error));
+            }
+        EXPECT_DOUBLE_EQ(p.out, 0.0);
+    }
+    // A stuck worker: shutdown's own sweep refuses them.
+    {
+        Gate gate;
+        std::optional<serve::Service> svc;
+        svc.emplace(oneWorker());
+        auto const gateId = svc->registerTemplate(gate.desc());
+        auto const scaleId = svc->registerTemplate(scaleTemplate(4));
+        int gatePayload = 0;
+        auto gateFuture = svc->submit(gateId, "t", &gatePayload);
+        gate.awaitStarted();
+        Payload p{1.0, 0.0};
+        auto request = requestOf(scaleId, &p);
+        CountingCompletion swept(*svc);
+        ASSERT_TRUE(postWith(*svc, request, swept));
+        auto const report = svc->shutdown(50ms);
+        EXPECT_FALSE(report.clean);
+        EXPECT_EQ(report.orphanedInFlight, 1u);
+        EXPECT_EQ(swept.fired.load(), 1) << "refused by the sweep, before shutdown returned";
+        EXPECT_TRUE(failsWith<serve::AdmissionError>(swept.error));
+        gate.release.store(true, std::memory_order_release);
+        svc.reset(); // joins the stuck worker, which loses its claim
+        EXPECT_EQ(swept.fired.load(), 1);
+        EXPECT_THROW(gateFuture.wait(), serve::WorkerLostError);
+        EXPECT_DOUBLE_EQ(p.out, 0.0);
+    }
+}
+
+TEST(ServePost, APostWakesAParkedWorker)
+{
+    serve::Service svc(oneWorker());
+    auto const scaleId = svc.registerTemplate(scaleTemplate(4));
+    for(int round = 0; round < 5; ++round)
+    {
+        // Long enough for the worker to spend its spin budget and park;
+        // only this post can wake it (no supervisor, no other traffic).
+        std::this_thread::sleep_for(20ms);
+        Payload p{static_cast<double>(round), 0.0};
+        CountingCompletion done(svc);
+        auto request = requestOf(scaleId, &p);
+        ASSERT_TRUE(postWith(svc, request, done));
+        ASSERT_TRUE(done.awaitFired()) << "round " << round << ": the parked worker never woke";
+        EXPECT_EQ(done.error, nullptr);
+        EXPECT_DOUBLE_EQ(p.out, 2.0 * round + 1.0);
+    }
+}
+
+TEST(ServePost, AFullHandOffTakesAPrefixAndLeavesTheRestUntouched)
+{
+    Gate gate;
+    serve::ServiceOptions options;
+    options.cpuWorkers = 1;
+    options.queueCapacity = 4096;
+    serve::Service svc(std::move(options));
+    auto const gateId = svc.registerTemplate(gate.desc());
+    auto const scaleId = svc.registerTemplate(scaleTemplate(64));
+    int gatePayload = 0;
+    auto gateFuture = svc.submit(gateId, "t", &gatePayload);
+    gate.awaitStarted();
+
+    constexpr std::size_t count = 1000; // past any sane hand-off
+    std::vector<Payload> payloads(count);
+    std::vector<serve::Request> requests;
+    std::vector<std::unique_ptr<CountingCompletion>> completions;
+    requests.reserve(count);
+    for(std::size_t i = 0; i < count; ++i)
+    {
+        payloads[i].in = static_cast<double>(i);
+        completions.push_back(std::make_unique<CountingCompletion>(svc));
+        requests.push_back(requestOf(scaleId, &payloads[i]));
+        requests.back().completion = completions.back().get();
+    }
+    std::vector<serve::Request const*> pointers;
+    for(auto const& r : requests)
+        pointers.push_back(&r);
+    auto const taken = svc.post(pointers);
+    EXPECT_GT(taken, 0u);
+    EXPECT_LT(taken, count) << "the hand-off is bounded";
+    for(std::size_t i = 0; i < count; ++i)
+        EXPECT_EQ(completions[i]->fired.load(), 0) << "request " << i;
+
+    gate.release.store(true, std::memory_order_release);
+    gateFuture.wait();
+    std::size_t next = taken;
+    auto const until = std::chrono::steady_clock::now() + 5s;
+    while(next < count && std::chrono::steady_clock::now() < until)
+        next += svc.post(std::span(pointers).subspan(next));
+    ASSERT_EQ(next, count);
+    svc.drain();
+    for(std::size_t i = 0; i < count; ++i)
+    {
+        EXPECT_EQ(completions[i]->fired.load(), 1) << "request " << i;
+        EXPECT_EQ(completions[i]->error, nullptr) << "request " << i;
+        EXPECT_DOUBLE_EQ(payloads[i].out, 2.0 * payloads[i].in + 1.0) << "request " << i;
+    }
+}
+
+TEST(ServePost, ARequestWithoutACompletionRefusesTheWholeSpan)
+{
+    serve::Service svc(oneWorker());
+    auto const scaleId = svc.registerTemplate(scaleTemplate(4));
+    Payload p{1.0, 0.0};
+    CountingCompletion first(svc);
+    auto withCompletion = requestOf(scaleId, &p);
+    withCompletion.completion = &first;
+    auto const without = requestOf(scaleId, &p);
+    std::array<serve::Request const*, 2> const span{&withCompletion, &without};
+    EXPECT_THROW((void) svc.post(span), UsageError);
+    svc.drain();
+    EXPECT_EQ(first.fired.load(), 0) << "nothing of the span was taken";
+    EXPECT_EQ(svc.stats().admitted, 0u);
 }
 
 // ---------------------------------------------------------- injected faults

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <array>
 #include <atomic>
 #include <barrier>
@@ -238,4 +241,46 @@ TEST(PublishWord, ParkingConsumerNeverSleepsThroughRacingPublishers)
         consumer.join();
     else
         consumer.detach();
+}
+
+//! The spin budget follows the calling thread's affinity mask, not the
+//! machine's core count: a pool or service built on a thread confined to
+//! one CPU must never spin (its threads inherit that one CPU).
+TEST(SpinBudget, ThreadPinnedToOneCpuNeverSpins)
+{
+    cpu_set_t all;
+    CPU_ZERO(&all);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(all), &all), 0);
+    int first = 0;
+    while(!CPU_ISSET(first, &all))
+        ++first;
+    int budget = -1;
+    unsigned cpus = 0;
+    std::thread pinned(
+        [&]
+        {
+            cpu_set_t one;
+            CPU_ZERO(&one);
+            CPU_SET(first, &one);
+            if(pthread_setaffinity_np(pthread_self(), sizeof(one), &one) != 0)
+                return;
+            cpus = threadpool::detail::usableCpus();
+            budget = threadpool::detail::machineSpinBudget();
+        });
+    pinned.join();
+    EXPECT_EQ(cpus, 1u);
+    EXPECT_EQ(budget, 0);
+}
+
+TEST(SpinBudget, UnpinnedThreadOnSeveralCpusSpins)
+{
+    cpu_set_t all;
+    CPU_ZERO(&all);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(all), &all), 0);
+    if(CPU_COUNT(&all) < 2)
+        GTEST_SKIP() << "this process may use only one CPU";
+    int budget = -1;
+    std::thread unpinned([&] { budget = threadpool::detail::machineSpinBudget(); });
+    unpinned.join();
+    EXPECT_EQ(budget, threadpool::detail::spinBeforePark);
 }
