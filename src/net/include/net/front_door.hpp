@@ -9,17 +9,19 @@
 /// if it is a socket), and never allocates in the steady state:
 ///
 ///  * Zero-copy landing: a Request frame's payload is received DIRECTLY
-///    into a per-connection slot buffer; the slot's serve::Request hands
-///    the service a PayloadView over that buffer, the template mutates it
-///    in place, and the response frame is encoded from the same bytes.
-///    No payload copy exists anywhere between transport and kernel.
+///    into a per-connection slot buffer; the slot describes its request
+///    to the service with a PayloadView over that buffer, the template
+///    mutates it in place, and the response frame is encoded from the
+///    same bytes. No payload copy exists anywhere between transport and
+///    kernel.
 ///  * Admission on the shard (DESIGN.md §9.2): the frames a poll reads
-///    from a connection are posted, as one span of slot requests, to the
-///    hand-off of the shard fixed at the connection's Hello
-///    (serve::Service::post). That shard's worker admits them; this
-///    thread does no tenant lookup, reservation, clock read or queue
-///    push. A refusal (Busy, BadRequest) arrives through the slot like
-///    any other outcome.
+///    from a connection are posted, as one span of slots
+///    (serve::Posted), to the hand-off of the shard fixed at the
+///    connection's Hello (serve::Service::post). That shard's worker has
+///    each slot describe its request (template, the connection's tenant,
+///    payload view, deadline, reqId) and admits them; this thread does no
+///    tenant lookup, reservation, clock read or queue push. A refusal
+///    (Busy, BadRequest) arrives through the slot like any other outcome.
 ///  * The slot is the request's serve::Completion: the service fires its
 ///    hook once, on whichever thread resolved the request (a worker, the
 ///    supervisor, shutdown); the hook writes the slot's status and
@@ -51,11 +53,11 @@
 ///    seeded, compiled out of production builds (DESIGN.md §7.2).
 ///
 /// Thread contract: accept/poll/stats from the single poll thread;
-/// worker threads read a posted slot's request and payload, and write
-/// only its payload, its status and its connection's done and released
-/// words, through the slot's hooks. The Router (and its shards) must
-/// outlive the FrontDoor's last in-flight request — drain or shut the
-/// router down before destroying the door.
+/// worker threads read a posted slot's fields, payload and connection
+/// tenant, and write only its payload, its status and its connection's
+/// done and released words, through the slot's hooks. The Router (and
+/// its shards) must outlive the FrontDoor's last in-flight request —
+/// drain or shut the router down before destroying the door.
 #pragma once
 
 #include "net/admin.hpp"
@@ -78,7 +80,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -267,6 +268,7 @@ namespace alpaka::net
             Reaping,
         };
 
+        static constexpr auto noDeadline = std::chrono::steady_clock::time_point::max();
         static constexpr std::uint64_t allSlots
             = Cfg::slotsPerConnection == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << Cfg::slotsPerConnection) - 1;
 
@@ -282,11 +284,31 @@ namespace alpaka::net
             std::atomic<std::uint64_t> released{0}; //!< a lost worker let go of the payload
         };
 
-        struct Slot : serve::Completion
+        struct Conn;
+
+        //! One request's landing place and its serve::Posted: the poll
+        //! thread writes the frame's fields and payload before the post,
+        //! the admitting worker reads them through describe(). Only what
+        //! differs per request lives here; the tenant is the connection's.
+        struct Slot : serve::Posted
         {
-            Slot() noexcept : serve::Completion(&onComplete, &onRelease)
+            Slot() noexcept : serve::Posted(&onComplete, &onRelease, &describe)
             {
-                request.completion = this;
+            }
+
+            //! On the admitting worker: the wire reqId is the request's
+            //! trace correlation id (DESIGN.md §10), so every layer below
+            //! tags its spans with it — one Perfetto async track spans
+            //! decode → queue → execute → response staging.
+            static void describe(serve::Posted& posted, serve::Request& request) noexcept
+            {
+                auto& slot = static_cast<Slot&>(posted);
+                request.tmpl = slot.tmpl;
+                request.tenant = std::string_view(slot.conn->tenant.data(), slot.conn->tenantLen);
+                request.payload = serve::PayloadView(slot.payload.data(), slot.len);
+                if(slot.deadline != noDeadline)
+                    request.deadline = slot.deadline;
+                request.traceId = slot.reqId;
             }
 
             //! The one write of a resolving thread: status, then the bit.
@@ -294,15 +316,15 @@ namespace alpaka::net
             {
                 auto& slot = static_cast<Slot&>(completion);
                 slot.status = statusOf(error);
-                ALPAKA_TRACE_INSTANT("net.completion", slot.request.traceId);
-                slot.words->done.fetch_or(slot.bit(), std::memory_order_release); // litmus: net/*_slot_done
+                ALPAKA_TRACE_INSTANT("net.completion", slot.reqId);
+                slot.conn->words.done.fetch_or(slot.bit(), std::memory_order_release); // litmus: net/*_slot_done
             }
 
             //! After a WorkerLost answer: the lost worker left the payload.
             static void onRelease(serve::Completion& completion) noexcept
             {
                 auto& slot = static_cast<Slot&>(completion);
-                slot.words->released.fetch_or(slot.bit(), std::memory_order_release); // litmus: net/*_slot_done
+                slot.conn->words.released.fetch_or(slot.bit(), std::memory_order_release); // litmus: net/*_slot_done
             }
 
             [[nodiscard]] auto bit() const noexcept -> std::uint64_t
@@ -310,14 +332,13 @@ namespace alpaka::net
                 return std::uint64_t{1} << index;
             }
 
-            SlotWords* words = nullptr;
-            std::uint8_t index = 0;
+            Conn* conn = nullptr;
+            std::uint64_t reqId = 0;
+            std::chrono::steady_clock::time_point deadline = noDeadline; //!< absolute
+            serve::TemplateId tmpl = 0;
+            std::uint32_t len = 0;
             Status status = Status::Ok;
-            //! What the shard admits: template, tenant (the connection's),
-            //! a view of payload, deadline, and the wire reqId as traceId
-            //! (DESIGN.md §10). Written by the poll thread before the post,
-            //! read by the admitting worker.
-            serve::Request request;
+            std::uint8_t index = 0;
             std::array<std::byte, Cfg::maxPayload> payload{};
         };
 
@@ -332,7 +353,7 @@ namespace alpaka::net
             {
                 for(std::size_t i = 0; i < slots.size(); ++i)
                 {
-                    slots[i].words = &words;
+                    slots[i].conn = this;
                     slots[i].index = static_cast<std::uint8_t>(i);
                 }
             }
@@ -587,9 +608,9 @@ namespace alpaka::net
                 FrameHeader h;
                 h.type = ok ? FrameType::Response : FrameType::Error;
                 h.status = slot.status;
-                h.tmpl = slot.request.tmpl;
-                h.reqId = slot.request.traceId;
-                h.payloadLen = ok ? static_cast<std::uint32_t>(slot.request.payload.size()) : 0;
+                h.tmpl = slot.tmpl;
+                h.reqId = slot.reqId;
+                h.payloadLen = ok ? slot.len : 0;
                 if(!stageFrame(c, h, slot.payload.data(), true))
                     break; // staging full; retry next poll
                 ALPAKA_TRACE_ASYNC_END("net.request", h.reqId);
@@ -785,23 +806,16 @@ namespace alpaka::net
             }
         }
 
-        //! Fills \p slot's request from the decoded header; the slot
-        //! leaves the free mask and waits for postFrames().
+        //! Fills \p slot from the decoded header; the slot leaves the
+        //! free mask and waits for postFrames().
         void stageSlot(Conn& c, Slot& slot)
         {
-            auto& r = slot.request;
-            r.tmpl = c.header.tmpl;
-            r.tenant = std::string_view(c.tenant.data(), c.tenantLen);
-            r.payload = serve::PayloadView(slot.payload.data(), c.header.payloadLen);
-            // The wire reqId is the request's trace correlation id: every
-            // layer below (serve, graph) tags its spans with the same
-            // value, so one Perfetto async track spans decode → route →
-            // queue → execute → response staging.
-            r.traceId = c.header.reqId;
-            r.deadline = c.header.deadlineUs != 0
-                             ? std::optional(tnow_ + std::chrono::microseconds(c.header.deadlineUs))
-                             : std::nullopt;
-            ALPAKA_TRACE_ASYNC_BEGIN("net.request", r.traceId);
+            slot.tmpl = c.header.tmpl;
+            slot.len = c.header.payloadLen;
+            slot.reqId = c.header.reqId;
+            slot.deadline
+                = c.header.deadlineUs != 0 ? tnow_ + std::chrono::microseconds(c.header.deadlineUs) : noDeadline;
+            ALPAKA_TRACE_ASYNC_BEGIN("net.request", slot.reqId);
             c.freeMask &= ~slot.bit();
             if(c.state == ConnState::Draining)
             {
@@ -821,14 +835,13 @@ namespace alpaka::net
             auto const n = c.unpostedCount;
             if(n == 0)
                 return 0;
-            std::array<serve::Request const*, framesPerPoll> requests;
-            for(std::size_t i = 0; i < n; ++i)
-                requests[i] = &c.unposted[i]->request;
+            std::array<serve::Posted*, framesPerPoll> requests;
+            std::copy(c.unposted.begin(), c.unposted.begin() + n, requests.begin());
             auto const taken = router_.shard(c.shard).post(std::span(requests.data(), n));
             stats_.requestsSubmitted += taken;
             for(std::size_t i = 0; i < taken; ++i)
-                if(requests[i]->traceId != 0)
-                    ALPAKA_TRACE_INSTANT("net.shard_route", requests[i]->traceId);
+                if(c.unposted[i]->reqId != 0)
+                    ALPAKA_TRACE_INSTANT("net.shard_route", c.unposted[i]->reqId);
             std::copy(c.unposted.begin() + taken, c.unposted.begin() + n, c.unposted.begin());
             c.unpostedCount = n - taken;
             return taken;

@@ -134,22 +134,6 @@ namespace alpaka::serve
         std::chrono::microseconds queueWaitBudget{0};
     };
 
-    //! One request's outcome of a span admission (Service::submit and
-    //! net::Router::submit over spans). \p error == nullptr means the
-    //! request was admitted (\p admitted is set) — or resolved on the spot
-    //! with CancelledError/DeadlineError because it was already cancelled
-    //! or expired. An admitted request resolves exactly once: through
-    //! \p future, or, for a request carrying a Completion, through that
-    //! (\p future stays empty). Otherwise \p error says why it was
-    //! refused: AdmissionError when a queue bound was full or the service
-    //! is stopping, UsageError for an unknown template.
-    struct Admission
-    {
-        Future future;
-        std::exception_ptr error;
-        bool admitted = false;
-    };
-
     class Service
     {
     public:
@@ -193,37 +177,25 @@ namespace alpaka::serve
         //! Blocking submit of the full Request surface.
         auto submitFor(Request const& request, std::chrono::nanoseconds timeout) -> Future;
 
-        //! Completion-only hand-off (DESIGN.md §6.2): queues the requests
-        //! \p requests points at for a worker of this service, which admits
-        //! them exactly as submit() would (same reservations, bounds,
-        //! tenant queues and shedding) at the top of its loop. Never
-        //! blocks and never spins: \returns how many requests, a prefix of
-        //! the span, were taken. The rest found the bounded hand-off full;
-        //! nothing of them was read or fired, and they stay the caller's to
-        //! post again. Every taken request resolves exactly once through its
-        //! Completion, whatever happens: its own outcome once admitted;
-        //! AdmissionError when a bound or the queue is full or the service
-        //! is shutting down; UnknownTemplateError; DeadlineError or
-        //! CancelledError (at admission or before dispatch); OverloadError;
-        //! WorkerLostError. The Request objects themselves, not only their
-        //! payload and completion, stay valid and unchanged until their
-        //! completion fired: the hand-off holds their addresses. \throws
-        //! UsageError, before taking any, when a request has no
-        //! Completion.
-        auto post(std::span<Request const* const> requests) -> std::size_t;
-
-        //! Admits \p requests in one step (DESIGN.md §6.2): one admission
-        //! gate raise, one global queue reservation, one clock read and
-        //! one worker wake for the whole span; tenant bounds are reserved
-        //! per request, looking a run of same-tenant requests' tenant up
-        //! once. \p out[i] receives request i's outcome (see Admission).
-        //! A tenant's requests queue in span order, and a refusal ends
-        //! its run: the rest of the run is refused too, so no request
-        //! overtakes an earlier one of its span. Every failure is a
-        //! request's error (nothing throws but a too-short \p out, a
-        //! UsageError); a span whose requests are all admitted allocates
-        //! nothing. submit() and submitFor() are its span of one.
-        void submit(std::span<Request const> requests, std::span<Admission> out);
+        //! Completion-only hand-off (DESIGN.md §6.2): queues \p requests
+        //! for a worker of this service, which has each describe itself
+        //! and admits them exactly as submit() would (same reservations,
+        //! bounds, tenant queues and shedding) at the top of its loop; a
+        //! tenant's posted requests queue in post order, and a refusal
+        //! ends its run (the rest of that tenant's run in the same pass is
+        //! refused too), so no request overtakes an earlier one. Never
+        //! blocks and never spins: \returns how many requests, a prefix
+        //! of the span, were taken. The rest found the bounded hand-off
+        //! full; nothing of them was read or fired, and they stay the
+        //! caller's to post again. Every taken request resolves exactly
+        //! once through its completion, whatever happens: its own outcome
+        //! once admitted; AdmissionError when a bound or the queue is full
+        //! or the service is shutting down; UnknownTemplateError;
+        //! DeadlineError or CancelledError (at admission or before
+        //! dispatch); OverloadError; WorkerLostError. A taken Posted, and
+        //! what its describe() reads, stays valid and unchanged until its
+        //! completion fired: the hand-off holds its address.
+        auto post(std::span<Posted* const> requests) -> std::size_t;
 
         //! Blocks until no request is posted, queued, in flight, or
         //! resolving.
@@ -255,9 +227,33 @@ namespace alpaka::serve
         }
 
     private:
+        //! One request's outcome of an admission span (admit()).
+        //! \p error == nullptr means the request was admitted (\p admitted
+        //! is set) — or resolved on the spot with CancelledError or
+        //! DeadlineError because it was already cancelled or expired. An
+        //! admitted request resolves exactly once: through \p future, or,
+        //! for a request carrying a Completion, through that (\p future
+        //! stays empty). Otherwise \p error says why it was refused:
+        //! AdmissionError when a queue bound was full or the service is
+        //! stopping, UnknownTemplateError for an unknown template.
+        struct Admission
+        {
+            Future future;
+            std::exception_ptr error;
+            bool admitted = false;
+
+            //! Inside admit(): neither admitted nor refused yet.
+            [[nodiscard]] auto waiting() const noexcept -> bool
+            {
+                return !admitted && error == nullptr;
+            }
+        };
+
         struct TemplateState;
 
         struct TenantState;
+
+        static constexpr auto noDeadline = std::chrono::steady_clock::time_point::max();
 
         //! One admitted, not-yet-dispatched request.
         struct Pending
@@ -274,8 +270,8 @@ namespace alpaka::serve
             //! winner's resolve() cleared completion.
             Completion* release = nullptr;
             std::chrono::steady_clock::time_point admitted;
-            //! Shed with DeadlineError once passed (empty = never).
-            std::optional<std::chrono::steady_clock::time_point> deadline;
+            //! Shed with DeadlineError once passed; noDeadline = never.
+            std::chrono::steady_clock::time_point deadline = noDeadline;
             //! Shed with CancelledError once cancelled (empty = never).
             CancelToken cancel;
             //! Request::traceId, carried so dispatch/completion close
@@ -284,17 +280,21 @@ namespace alpaka::serve
         };
 
         //! Fixed-capacity FIFO of one tenant's admitted requests, backed
-        //! by a ring over a vector sized once at tenant creation (the
+        //! by a ring over a vector reserved once at tenant creation (the
         //! per-tenant admission bound). Unlike std::deque — whose chunk
         //! map churns a heap allocation every few dozen rotations —
         //! steady-state queueing through this ring never touches the
-        //! heap (zero-allocation audit, DESIGN.md §8.9). Worker-side
-        //! only: every access is under mutex_.
+        //! heap (zero-allocation audit, DESIGN.md §8.9). Cells are built
+        //! on first use and the ring restarts at cell 0 whenever it
+        //! empties, so a tenant's queue touches only as many cells as it
+        //! was ever deep, not its whole bound. Worker-side only: every
+        //! access is under mutex_.
         class PendingFifo
         {
         public:
-            explicit PendingFifo(std::size_t capacity) : buf_(capacity)
+            explicit PendingFifo(std::size_t capacity) : capacity_(capacity)
             {
+                buf_.reserve(capacity);
             }
 
             [[nodiscard]] auto size() const noexcept -> std::size_t
@@ -312,19 +312,26 @@ namespace alpaka::serve
             //! Element \p i positions behind the front.
             [[nodiscard]] auto at(std::size_t i) noexcept -> Pending&
             {
-                return buf_[(head_ + i) % buf_.size()];
+                return buf_[(head_ + i) % capacity_];
             }
             //! Capacity is enforced by the admission-side reservation
-            //! (TenantState::depth); a push never overflows.
+            //! (TenantState::depth); a push never overflows. The ring
+            //! reaches its cells in order, so a cell not built yet is the
+            //! next one past the built ones (no reallocation: reserved).
             void pushBack(Pending&& p)
             {
-                buf_[tail_ % buf_.size()] = std::move(p);
+                auto const cell = tail_ % capacity_;
+                if(cell == buf_.size())
+                    buf_.push_back(std::move(p));
+                else
+                    buf_[cell] = std::move(p);
                 ++tail_;
             }
             void popFront()
             {
                 front() = Pending{}; // drop the token ref now
-                ++head_;
+                if(++head_ == tail_)
+                    head_ = tail_ = 0;
             }
             //! Removes the element at logical index \p i by shifting the
             //! tail down — O(size), used only by overload shedding, which
@@ -335,11 +342,13 @@ namespace alpaka::serve
                 for(auto j = i; j + 1 < size(); ++j)
                     at(j) = std::move(at(j + 1));
                 at(size() - 1) = Pending{};
-                --tail_;
+                if(--tail_ == head_)
+                    head_ = tail_ = 0;
                 return out;
             }
 
         private:
+            std::size_t capacity_;
             std::vector<Pending> buf_;
             std::size_t head_ = 0;
             std::size_t tail_ = 0;
@@ -426,9 +435,9 @@ namespace alpaka::serve
             std::vector<RequestItem> items;
             //! Reused per-request outcome buffer of execute().
             std::vector<std::exception_ptr> outcomes;
-            //! Reused copies of the posted requests one admitPosted() pass
-            //! took from the hand-off, and their outcomes (sized once, at
-            //! construction, to the hand-off's capacity).
+            //! The requests one admitPosted() pass took from the hand-off,
+            //! as their Posted described them, and their outcomes (sized
+            //! once, at construction, to the hand-off's capacity).
             std::vector<Request> posted;
             std::vector<Admission> postedOutcomes;
             std::shared_ptr<Beat> beat = std::make_shared<Beat>();
@@ -533,9 +542,17 @@ namespace alpaka::serve
         //! Pending). Called outside mutex_, after the request's stats
         //! settled; clears the pointer, so a request resolves once.
         static void resolve(Pending& request, std::exception_ptr error) noexcept;
-        //! The one admission path: submit/submitFor and the span submit
-        //! all land here. With \p spaceDeadline, requests refused for
-        //! space wait for it up to the deadline and retry.
+        //! The one admission path: submit/submitFor (a span of one) and
+        //! admitPosted land here. One admission gate raise, one global
+        //! queue reservation, one clock read and one worker wake for the
+        //! whole span; tenant bounds are reserved per request, looking a
+        //! run of same-tenant requests' tenant up once. \p out[i] receives
+        //! request i's outcome. A tenant's requests queue in span order,
+        //! and a refusal ends its run: the rest of the run is refused
+        //! too. Every failure is a request's error (nothing throws but a
+        //! too-short \p out, a UsageError); a span whose requests are all
+        //! admitted allocates nothing. With \p spaceDeadline, requests
+        //! refused for space wait for it up to the deadline and retry.
         void admit(
             std::span<Request const> requests,
             std::span<Admission> out,
@@ -659,12 +676,12 @@ namespace alpaka::serve
         //! so its own requests keep their ring (FIFO) order (§8.7).
         static constexpr std::size_t admitRingCells = 256;
         core::MpmcRing<Pending> admitRing_{admitRingCells};
-        //! post()'s hand-off: the addresses of posted requests, waiting
-        //! for a worker's admitPosted(). Bounded and allocated once; a
-        //! cell holds one pointer (litmus: serve/*_admit_ring_cell, the
-        //! same ring protocol).
+        //! post()'s hand-off: the posted requests, waiting for a worker's
+        //! admitPosted(). Bounded and allocated once; a cell holds one
+        //! pointer (litmus: serve/*_admit_ring_cell, the same ring
+        //! protocol).
         static constexpr std::size_t handoffCells = 64;
-        core::MpmcRing<Request const*> handoff_{handoffCells};
+        core::MpmcRing<Posted*> handoff_{handoffCells};
         //! Dekker gate against shutdown (litmus: serve/*_admit_stop_gate):
         //! a submitter or poster raises the gate (seq_cst) and THEN checks
         //! stop_; shutdown stores stop_ and spins until the gate is zero

@@ -192,11 +192,11 @@ namespace alpaka::serve
     //! whichever thread resolved it — a worker, the supervisor, shutdown,
     //! or the submitter itself for a request already expired or cancelled
     //! at admission. A request refused by submit() never fires its
-    //! completion; a posted request (Service::post) fires it for its
-    //! refusal too. The caller embeds the Completion in state it owns (the
-    //! net front door's request slot, Future's state) and keeps it alive
-    //! until it fired; the hooks must not throw and must not block the
-    //! resolving thread for long.
+    //! completion; a posted request (Service::post, Posted) fires it for
+    //! its refusal too. The caller embeds the Completion in state it owns
+    //! (the net front door's request slot, Future's state) and keeps it
+    //! alive until it fired; the hooks must not throw and must not block
+    //! the resolving thread for long.
     //!
     //! A WorkerLostError fires while the lost worker may still be running
     //! the request's kernel over its payload. A caller that reuses payload
@@ -261,9 +261,36 @@ namespace alpaka::serve
         std::uint64_t traceId = 0;
         //! Where the outcome goes: nullptr (default) resolves through the
         //! serve::Future the submit returns; otherwise the service fires
-        //! this Completion instead and returns no future. Service::post
-        //! requires one.
+        //! this Completion instead and returns no future.
         Completion* completion = nullptr;
+    };
+
+    //! One request handed to Service::post (DESIGN.md §6.2): its own
+    //! Completion, which describes the request to the worker that admits
+    //! it. The caller stores only what differs per request and builds the
+    //! rest there (the net front door keeps template, reqId, deadline and
+    //! payload length in its slot, and the tenant once per connection).
+    //! describe() runs once, on the admitting worker, before either hook
+    //! fires; it fills a default Request (the service sets its
+    //! completion to this object) and must not throw.
+    class Posted : public Completion
+    {
+    public:
+        using Describe = void (*)(Posted&, Request&) noexcept;
+
+        Posted(Hook hook, ReleaseHook release, Describe describe) noexcept
+            : Completion(hook, release)
+            , describe_(describe)
+        {
+        }
+
+        void describe(Request& request) noexcept
+        {
+            describe_(*this, request);
+        }
+
+    private:
+        Describe describe_;
     };
 
     //! What Service::shutdown(timeout) observed (the bounded-drain

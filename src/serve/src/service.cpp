@@ -43,12 +43,6 @@ namespace alpaka::serve
         private:
             std::atomic<std::size_t>& gate_;
         };
-
-        //! Inside Service::admit: a request neither admitted nor refused yet.
-        [[nodiscard]] auto waiting(Admission const& a) noexcept -> bool
-        {
-            return !a.admitted && a.error == nullptr;
-        }
     } // namespace
 
     // ------------------------------------------------------------------
@@ -222,7 +216,7 @@ namespace alpaka::serve
         // so invariant 16 holds across shutdown too. A posted request was
         // never admitted: it is refused, as a post after stop would be.
         std::size_t refused = 0;
-        Request const* leftover = nullptr;
+        Posted* leftover = nullptr;
         std::exception_ptr refusal;
         while(handoff_.pop(leftover))
         {
@@ -230,7 +224,7 @@ namespace alpaka::serve
                 refusal = std::make_exception_ptr(
                     AdmissionError("serve::Service: posted request refused at shutdown (no live worker remained)"));
             rejected_.fetch_add(1, std::memory_order_relaxed);
-            leftover->completion->complete(refusal);
+            leftover->complete(refusal);
             ++refused;
         }
         if(refused != 0)
@@ -479,7 +473,7 @@ namespace alpaka::serve
     {
         std::size_t count = 0;
         for(auto const& a : out.first(requests.size()))
-            count += waiting(a) ? 1 : 0;
+            count += a.waiting() ? 1 : 0;
         if(count == 0)
             return {};
         // One gate raise for the whole span, released on every exit.
@@ -492,7 +486,7 @@ namespace alpaka::serve
             auto const error
                 = std::make_exception_ptr(AdmissionError("serve::Service: submit while shutting down"));
             for(auto& a : out.first(requests.size()))
-                if(waiting(a))
+                if(a.waiting())
                     a.error = error;
             return {};
         }
@@ -516,7 +510,7 @@ namespace alpaka::serve
         bool runRefused = false;
         for(std::size_t i = 0; i < requests.size(); ++i)
         {
-            if(!waiting(out[i]))
+            if(!out[i].waiting())
                 continue;
             auto const& r = requests[i];
             std::shared_ptr<Future::State> future;
@@ -568,7 +562,16 @@ namespace alpaka::serve
                 completion = future.get();
             }
             auto* const release = r.completion != nullptr && r.completion->tracksRelease() ? r.completion : nullptr;
-            Pending p{templateFind(r.tmpl), t, r.payload, completion, release, now, r.deadline, r.cancel, r.traceId};
+            Pending p{
+                templateFind(r.tmpl),
+                t,
+                r.payload,
+                completion,
+                release,
+                now,
+                r.deadline.value_or(noDeadline),
+                r.cancel,
+                r.traceId};
             // Full ring: move its contents to the tenant queues (the
             // reservations guarantee them room) and retry. A failed
             // drain only means another producer's cell is mid-commit.
@@ -657,7 +660,7 @@ namespace alpaka::serve
             rejected_.fetch_add(waits.count, std::memory_order_relaxed);
             auto const error = std::make_exception_ptr(AdmissionError(reason));
             for(auto& a : out.first(requests.size()))
-                if(waiting(a))
+                if(a.waiting())
                     a.error = error;
             break;
         }
@@ -689,11 +692,6 @@ namespace alpaka::serve
         return std::move(outcome.future);
     }
 
-    void Service::submit(std::span<Request const> requests, std::span<Admission> out)
-    {
-        admit(requests, out, nullptr);
-    }
-
     auto Service::submit(TemplateId tmpl, std::string_view tenant, void* payload) -> Future
     {
         return admitOne(Request{tmpl, tenant, payload, std::nullopt, {}}, nullptr);
@@ -720,11 +718,8 @@ namespace alpaka::serve
         return admitOne(request, &deadline);
     }
 
-    auto Service::post(std::span<Request const* const> requests) -> std::size_t
+    auto Service::post(std::span<Posted* const> requests) -> std::size_t
     {
-        for(auto const* r : requests)
-            if(r->completion == nullptr)
-                throw UsageError("serve::Service::post: a posted request needs a completion");
         if(requests.empty())
             return 0;
         // The submitters' Dekker pair with shutdown covers the hand-off
@@ -736,14 +731,14 @@ namespace alpaka::serve
         {
             rejected_.fetch_add(requests.size(), std::memory_order_relaxed);
             auto const error = std::make_exception_ptr(AdmissionError("serve::Service: post while shutting down"));
-            for(auto const* r : requests)
-                r->completion->complete(error);
+            for(auto* r : requests)
+                r->complete(error);
             return requests.size();
         }
         // Counted before the pushes: a worker's drop never passes zero.
         posted_.fetch_add(requests.size(), std::memory_order_relaxed);
         std::size_t taken = 0;
-        for(auto const* r : requests)
+        for(auto* r : requests)
         {
             if(!handoff_.push(r))
                 break; // full: the rest stays the caller's
@@ -761,9 +756,13 @@ namespace alpaka::serve
         if(posted_.load(std::memory_order_relaxed) == 0 || admittingPosted_.exchange(true, std::memory_order_acquire))
             return;
         auto& requests = worker.posted;
-        Request const* request = nullptr;
-        while(requests.size() < handoffCells && handoff_.pop(request))
-            requests.push_back(*request);
+        Posted* posted = nullptr;
+        while(requests.size() < handoffCells && handoff_.pop(posted))
+        {
+            auto& request = requests.emplace_back();
+            posted->describe(request);
+            request.completion = posted;
+        }
         auto const n = requests.size();
         if(n != 0)
         {
@@ -880,7 +879,7 @@ namespace alpaka::serve
             // dropped here, before any kernel work, whatever template it
             // belongs to — doomed work never gates batch formation.
             auto const cancelled = head.cancel.cancelled();
-            if(cancelled || (head.deadline.has_value() && *head.deadline <= now))
+            if(cancelled || head.deadline <= now)
             {
                 Shed s;
                 s.request = std::move(head);
@@ -936,19 +935,17 @@ namespace alpaka::serve
         {
             TenantState* victimTenant = nullptr;
             std::size_t victimIndex = 0;
-            std::chrono::steady_clock::time_point victimDeadline{};
+            auto victimDeadline = noDeadline;
             for(auto* t = activeHead_; t != nullptr; t = t->nextActive)
             {
                 for(std::size_t i = 0; i < t->queue.size(); ++i)
                 {
                     auto const& pending = t->queue.at(i);
-                    if(!pending.deadline.has_value())
-                        continue;
-                    if(victimTenant == nullptr || *pending.deadline < victimDeadline)
+                    if(pending.deadline < victimDeadline)
                     {
                         victimTenant = t;
                         victimIndex = i;
-                        victimDeadline = *pending.deadline;
+                        victimDeadline = pending.deadline;
                     }
                 }
             }

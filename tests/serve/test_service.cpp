@@ -80,6 +80,30 @@ namespace
         }
     };
 
+    //! A posted request (Service::post) that records its one outcome.
+    struct Recorded : serve::Posted
+    {
+        Recorded() noexcept : serve::Posted(&onComplete, nullptr, &describe)
+        {
+        }
+
+        static void describe(serve::Posted& posted, serve::Request& out) noexcept
+        {
+            out = static_cast<Recorded&>(posted).request;
+        }
+
+        static void onComplete(serve::Completion& completion, std::exception_ptr e) noexcept
+        {
+            auto& self = static_cast<Recorded&>(completion);
+            self.error = std::move(e);
+            self.fired.fetch_add(1, std::memory_order_release);
+        }
+
+        serve::Request request;
+        std::exception_ptr error;
+        std::atomic<int> fired{0};
+    };
+
     [[nodiscard]] auto stressSeed() -> std::uint64_t
     {
         if(char const* const env = std::getenv("ALPAKA_STRESS_SEED"))
@@ -368,11 +392,12 @@ TEST(ServeService, PerTenantCapacityIsolatesNoisyNeighbour)
         f.wait();
 }
 
-//! Span admission (DESIGN.md §6.2): one call, and each request still
-//! gets its own outcome — admitted, refused by its tenant's bound,
+//! A posted span (DESIGN.md §6.2): the worker admits it in one pass, and
+//! each request still gets its own outcome through its completion —
+//! admitted, refused by its tenant's bound (which ends the tenant's run),
 //! resolved on the spot (cancelled, expired) or refused as an unknown
 //! template — with the stats settled for each.
-TEST(ServeService, SpanAdmissionGivesEveryRequestItsOwnOutcome)
+TEST(ServeService, PostedSpanGivesEveryRequestItsOwnOutcome)
 {
     serve::Service svc(serve::ServiceOptions{.cpuWorkers = 1, .queueCapacity = 16, .tenantCapacity = 2});
     Gate gate;
@@ -397,8 +422,19 @@ TEST(ServeService, SpanAdmissionGivesEveryRequestItsOwnOutcome)
         {scaleId, "a", &payloads[5], std::nullopt, {}}, // past tenant "a"'s bound of 2
         {scaleId, "b", &payloads[6], std::nullopt, {}},
     };
-    std::vector<serve::Admission> out(requests.size());
-    svc.submit(requests, out);
+    std::vector<Recorded> posted(requests.size());
+    std::vector<serve::Posted*> pointers;
+    for(std::size_t i = 0; i < requests.size(); ++i)
+    {
+        posted[i].request = requests[i];
+        pointers.push_back(&posted[i]);
+    }
+    // Taken while the only worker is held: it admits all seven in one
+    // pass once the gate opens.
+    ASSERT_EQ(svc.post(pointers), requests.size());
+    gate.release.store(true, std::memory_order_release);
+    gateFuture.wait();
+    svc.drain();
 
     auto const rethrows = [](std::exception_ptr const& e, auto tag)
     {
@@ -415,48 +451,35 @@ TEST(ServeService, SpanAdmissionGivesEveryRequestItsOwnOutcome)
             return false;
         }
     };
+    for(std::size_t i = 0; i < posted.size(); ++i)
+        EXPECT_EQ(posted[i].fired.load(std::memory_order_acquire), 1) << "request " << i;
     for(std::size_t i : {0U, 4U, 6U})
     {
-        EXPECT_TRUE(out[i].future.valid()) << "request " << i;
-        EXPECT_EQ(out[i].error, nullptr) << "request " << i;
-    }
-    EXPECT_FALSE(out[1].future.valid());
-    EXPECT_TRUE(rethrows(out[1].error, UsageError("")));
-    EXPECT_FALSE(out[5].future.valid());
-    EXPECT_TRUE(rethrows(out[5].error, serve::AdmissionError("")));
-    ASSERT_TRUE(out[2].future.valid());
-    EXPECT_TRUE(out[2].future.poll()) << "resolved at admission";
-    EXPECT_TRUE(rethrows(out[2].future.error(), serve::CancelledError("")));
-    ASSERT_TRUE(out[3].future.valid());
-    EXPECT_TRUE(out[3].future.poll());
-    EXPECT_TRUE(rethrows(out[3].future.error(), serve::DeadlineError("")));
-
-    auto const held = svc.stats();
-    EXPECT_EQ(held.queued, 3U);
-    EXPECT_EQ(held.admitted, 4U); // the gate and three of the span
-    EXPECT_EQ(held.rejected, 1U);
-    EXPECT_EQ(held.shedCancelled, 1U);
-    EXPECT_EQ(held.shedExpired, 1U);
-    EXPECT_EQ(held.completed, 2U) << "a future resolved at admission reads as completed";
-
-    gate.release.store(true, std::memory_order_release);
-    gateFuture.wait();
-    for(std::size_t i : {0U, 4U, 6U})
-    {
-        out[i].future.wait();
+        EXPECT_EQ(posted[i].error, nullptr) << "request " << i;
         EXPECT_EQ(payloads[i].out, 2.0 * payloads[i].in + 1.0) << "request " << i;
     }
-    svc.drain();
-    auto const settled = svc.stats();
-    EXPECT_EQ(settled.completed, 6U); // the two resolved at admission count too
-    EXPECT_EQ(settled.failed, 2U);
+    EXPECT_TRUE(rethrows(posted[1].error, serve::UnknownTemplateError("")));
+    EXPECT_TRUE(rethrows(posted[2].error, serve::CancelledError("")));
+    EXPECT_TRUE(rethrows(posted[3].error, serve::DeadlineError("")));
+    EXPECT_TRUE(rethrows(posted[5].error, serve::AdmissionError("")));
+    for(std::size_t i : {1U, 2U, 3U, 5U})
+        EXPECT_EQ(payloads[i].out, 0.0) << "request " << i;
+
+    auto const stats = svc.stats();
+    EXPECT_EQ(stats.queued, 0U);
+    EXPECT_EQ(stats.admitted, 4U); // the gate and three of the span
+    EXPECT_EQ(stats.rejected, 1U);
+    EXPECT_EQ(stats.shedCancelled, 1U);
+    EXPECT_EQ(stats.shedExpired, 1U);
+    EXPECT_EQ(stats.completed, 6U) << "the two resolved at admission count too";
+    EXPECT_EQ(stats.failed, 2U);
 }
 
 //! The admission ring is a fixed handoff buffer, far smaller than the
-//! queue bound (DESIGN.md §8.7): with the worker blocked, a span longer
-//! than the ring still admits up to the bound, drains the full ring into
-//! the tenant queues itself, loses nothing and keeps each tenant's
-//! order; past the bound it refuses.
+//! queue bound (DESIGN.md §8.7): with the worker blocked, submits past
+//! the ring's size still admit up to the bound — the one that finds the
+//! ring full drains it into the tenant queues itself — lose nothing and
+//! keep each tenant's order; past the bound they are refused.
 TEST(ServeService, AdmissionPastTheRingKeepsOrderAndBound)
 {
     constexpr std::size_t capacity = 300; // > the 256-cell ring
@@ -487,26 +510,23 @@ TEST(ServeService, AdmissionPastTheRingKeepsOrderAndBound)
     // Runs of three requests alternate between the two tenants.
     std::string const tenants[] = {"even", "odd"};
     std::vector<Seq> payloads(offered);
-    std::vector<serve::Request> requests;
+    std::vector<serve::Future> futures;
     for(std::size_t i = 0; i < offered; ++i)
     {
         auto const tenant = static_cast<int>((i / 3) % 2);
         payloads[i] = Seq{tenant, static_cast<int>(i)};
-        requests.push_back(serve::Request{recordId, tenants[tenant], &payloads[i], std::nullopt, {}});
-    }
-    std::vector<serve::Admission> out(offered);
-    svc.submit(requests, out);
-    for(std::size_t i = 0; i < offered; ++i)
-    {
-        EXPECT_EQ(out[i].future.valid(), i < capacity) << "request " << i;
-        EXPECT_EQ(out[i].error != nullptr, i >= capacity) << "request " << i;
+        if(i < capacity)
+            futures.push_back(svc.submit(recordId, tenants[tenant], &payloads[i]));
+        else
+            EXPECT_THROW((void) svc.submit(recordId, tenants[tenant], &payloads[i]), serve::AdmissionError)
+                << "request " << i;
     }
     EXPECT_EQ(svc.stats().queued, capacity);
 
     gate.release.store(true, std::memory_order_release);
     gateFuture.wait();
     for(std::size_t i = 0; i < capacity; ++i)
-        EXPECT_NO_THROW(out[i].future.wait()) << "request " << i;
+        EXPECT_NO_THROW(futures[i].wait()) << "request " << i;
     svc.drain();
     ASSERT_EQ(log.size(), capacity);
     int last[2] = {-1, -1};

@@ -144,13 +144,19 @@ namespace
     //! records what stats().completed read inside the hook: the probe of
     //! the serve::Completion contract (fires once per admitted request,
     //! after the stats settled; never for a refusal). With \p tracksRelease
-    //! it also counts Completion::release calls.
-    struct CountingCompletion : serve::Completion
+    //! it also counts Completion::release calls. Posted, it describes
+    //! \p request.
+    struct CountingCompletion : serve::Posted
     {
         explicit CountingCompletion(serve::Service& svc, bool tracksRelease = false) noexcept
-            : serve::Completion(&onComplete, tracksRelease ? &onRelease : nullptr)
+            : serve::Posted(&onComplete, tracksRelease ? &onRelease : nullptr, &describe)
             , svc(&svc)
         {
+        }
+
+        static void describe(serve::Posted& posted, serve::Request& out) noexcept
+        {
+            out = static_cast<CountingCompletion&>(posted).request;
         }
 
         static void onComplete(serve::Completion& completion, std::exception_ptr e) noexcept
@@ -180,6 +186,7 @@ namespace
         }
 
         serve::Service* svc;
+        serve::Request request; //!< what a post describes
         std::exception_ptr error;
         std::uint64_t completedSeen = 0;
         std::atomic<int> fired{0};
@@ -193,13 +200,27 @@ namespace
         return options;
     }
 
-    //! \p request with \p completion attached, admitted as a span of one.
-    auto admitWith(serve::Service& svc, serve::Request request, CountingCompletion& completion) -> serve::Admission
+    //! What submit() told the submitter of a request with a completion.
+    struct Outcome
+    {
+        bool admitted = false;
+        std::exception_ptr error; //!< the refusal submit() threw, if any
+    };
+
+    //! \p request with \p completion attached, submitted.
+    auto admitWith(serve::Service& svc, serve::Request request, CountingCompletion& completion) -> Outcome
     {
         request.completion = &completion;
-        serve::Admission outcome;
-        svc.submit({&request, 1}, {&outcome, 1});
-        EXPECT_FALSE(outcome.future.valid()) << "a request with a completion gets no future";
+        Outcome outcome;
+        try
+        {
+            EXPECT_FALSE(svc.submit(request).valid()) << "a request with a completion gets no future";
+            outcome.admitted = true;
+        }
+        catch(...)
+        {
+            outcome.error = std::current_exception();
+        }
         return outcome;
     }
 
@@ -213,13 +234,12 @@ namespace
         return r;
     }
 
-    //! \p request with \p completion attached, posted (Service::post). The
-    //! request object must outlive the completion's firing. \returns
-    //! whether the hand-off took it.
-    auto postWith(serve::Service& svc, serve::Request& request, CountingCompletion& completion) -> bool
+    //! \p completion, describing \p request, posted (Service::post).
+    //! \returns whether the hand-off took it.
+    auto postWith(serve::Service& svc, serve::Request const& request, CountingCompletion& completion) -> bool
     {
-        request.completion = &completion;
-        serve::Request const* const posted = &request;
+        completion.request = request;
+        serve::Posted* const posted = &completion;
         return svc.post({&posted, 1}) == 1;
     }
 } // namespace
@@ -1127,19 +1147,15 @@ TEST(ServePost, AFullHandOffTakesAPrefixAndLeavesTheRestUntouched)
 
     constexpr std::size_t count = 1000; // past any sane hand-off
     std::vector<Payload> payloads(count);
-    std::vector<serve::Request> requests;
     std::vector<std::unique_ptr<CountingCompletion>> completions;
-    requests.reserve(count);
+    std::vector<serve::Posted*> pointers;
     for(std::size_t i = 0; i < count; ++i)
     {
         payloads[i].in = static_cast<double>(i);
         completions.push_back(std::make_unique<CountingCompletion>(svc));
-        requests.push_back(requestOf(scaleId, &payloads[i]));
-        requests.back().completion = completions.back().get();
+        completions.back()->request = requestOf(scaleId, &payloads[i]);
+        pointers.push_back(completions.back().get());
     }
-    std::vector<serve::Request const*> pointers;
-    for(auto const& r : requests)
-        pointers.push_back(&r);
     auto const taken = svc.post(pointers);
     EXPECT_GT(taken, 0u);
     EXPECT_LT(taken, count) << "the hand-off is bounded";
@@ -1160,22 +1176,6 @@ TEST(ServePost, AFullHandOffTakesAPrefixAndLeavesTheRestUntouched)
         EXPECT_EQ(completions[i]->error, nullptr) << "request " << i;
         EXPECT_DOUBLE_EQ(payloads[i].out, 2.0 * payloads[i].in + 1.0) << "request " << i;
     }
-}
-
-TEST(ServePost, ARequestWithoutACompletionRefusesTheWholeSpan)
-{
-    serve::Service svc(oneWorker());
-    auto const scaleId = svc.registerTemplate(scaleTemplate(4));
-    Payload p{1.0, 0.0};
-    CountingCompletion first(svc);
-    auto withCompletion = requestOf(scaleId, &p);
-    withCompletion.completion = &first;
-    auto const without = requestOf(scaleId, &p);
-    std::array<serve::Request const*, 2> const span{&withCompletion, &without};
-    EXPECT_THROW((void) svc.post(span), UsageError);
-    svc.drain();
-    EXPECT_EQ(first.fired.load(), 0) << "nothing of the span was taken";
-    EXPECT_EQ(svc.stats().admitted, 0u);
 }
 
 // ---------------------------------------------------------- injected faults
