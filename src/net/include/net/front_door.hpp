@@ -16,8 +16,9 @@
 ///    kernel.
 ///  * Admission on the shard (DESIGN.md §9.2): the frames a poll reads
 ///    from a connection are posted, as one span of slots
-///    (serve::Posted), to the hand-off of the shard fixed at the
-///    connection's Hello (serve::Service::post). That shard's worker has
+///    (serve::Posted), to the shard fixed at the connection's Hello
+///    (serve::Service::post: one CAS links them into the shard's posted
+///    list, which takes every frame). That shard's worker has
 ///    each slot describe its request (template, the connection's tenant,
 ///    payload view, deadline, reqId) and admits them; this thread does no
 ///    tenant lookup, reservation, clock read or queue push. A refusal
@@ -36,10 +37,10 @@
 ///    slot's bit in the connection's released word): a later request
 ///    never lands in bytes a zombie kernel may still write.
 ///  * Flow control by NOT reading: a connection whose slots are all
-///    busy, or whose shard's hand-off was full, is simply not drained
-///    further — backpressure propagates through the transport's bounded
-///    buffer to the client's window, never by dropping a frame and never
-///    by blocking or spinning (invariant 20).
+///    busy is simply not drained further — backpressure propagates
+///    through the transport's bounded buffer to the client's window,
+///    never by dropping a frame and never by blocking or spinning
+///    (invariant 20). The slots bound what a connection has posted.
 ///  * Session life cycle: AwaitHello (first frame must bind a tenant)
 ///    → Open → Draining (peer sent Bye; in-flight requests finish,
 ///    responses flush, Bye is acked) → Reaping (transport closed;
@@ -55,7 +56,8 @@
 /// Thread contract: accept/poll/stats from the single poll thread;
 /// worker threads read a posted slot's fields, payload and connection
 /// tenant, and write only its payload, its status and its connection's
-/// done and released words, through the slot's hooks. The Router (and
+/// done and released words, through the slot's hooks (and the posted
+/// list's link in its serve::Posted base, the service's). The Router (and
 /// its shards) must outlive the FrontDoor's last in-flight request —
 /// drain or shut the router down before destroying the door.
 #pragma once
@@ -71,7 +73,6 @@
 #include "alpaka/core/fault.hpp"
 #include "alpaka/core/trace.hpp"
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -198,7 +199,6 @@ namespace alpaka::net
                 c.rxSlot = nullptr;
                 c.rxPayloadDst = nullptr;
                 c.stalled = false;
-                c.unpostedCount = 0;
                 c.txLen = 0;
                 c.txSent = 0;
                 c.truncateClose = false;
@@ -343,8 +343,8 @@ namespace alpaka::net
         };
 
         //! Frames one poll reads from one connection at most: keeps one
-        //! chatty connection from starving the table, and bounds what one
-        //! post hands the shard.
+        //! chatty connection from starving the table, and sizes the span
+        //! one post hands the shard.
         static constexpr std::size_t framesPerPoll = 16;
 
         struct Conn
@@ -374,10 +374,6 @@ namespace alpaka::net
             std::byte* rxPayloadDst = nullptr;
             std::size_t rxPayloadHave = 0;
             bool stalled = false;
-            //! Frames read but not yet taken by the shard's hand-off; the
-            //! connection reads nothing more while any wait.
-            std::array<Slot*, framesPerPoll> unposted{};
-            std::size_t unpostedCount = 0;
             //! @}
             //! \name slot table: one bit per slot; the masks are the poll
             //! thread's, the words the resolving threads'
@@ -454,12 +450,7 @@ namespace alpaka::net
                 }
                 return progress; // drained peers send nothing further
             }
-            progress = postFrames(c) != 0 || progress;
-            if(c.unpostedCount != 0)
-                return progress; // the shard's hand-off is full: read nothing more (invariant 20)
-            progress = pumpRx(c) || progress;
-            postFrames(c);
-            return progress;
+            return pumpRx(c) || progress;
         }
 
         //! A closed connection's late completions land here, unanswered;
@@ -703,7 +694,8 @@ namespace alpaka::net
             }
         }
 
-        void handleFrame(Conn& c)
+        //! \returns the request frame's slot when it is to be posted.
+        auto handleFrame(Conn& c) -> Slot*
         {
             ++stats_.framesIn;
             switch(c.header.type)
@@ -717,23 +709,22 @@ namespace alpaka::net
                 ack.payloadLen = 0;
                 stageFrame(c, ack, nullptr, false); // staging is empty pre-Open
                 c.state = ConnState::Open;
-                return;
+                return nullptr;
             }
             case FrameType::Request:
                 ALPAKA_TRACE_INSTANT("net.frame_decode", c.header.reqId);
-                stageSlot(c, *c.rxSlot);
-                return;
+                return stageSlot(c, *c.rxSlot);
             case FrameType::Bye:
                 c.state = ConnState::Draining;
-                return;
+                return nullptr;
             case FrameType::MetricsScrape:
             case FrameType::HealthCheck:
             case FrameType::StatsSnapshot:
             case FrameType::TraceControl:
                 handleAdmin(c);
-                return;
+                return nullptr;
             default:
-                return; // unreachable: prepare() closed on these
+                return nullptr; // unreachable: prepare() closed on these
             }
         }
 
@@ -807,8 +798,9 @@ namespace alpaka::net
         }
 
         //! Fills \p slot from the decoded header; the slot leaves the
-        //! free mask and waits for postFrames().
-        void stageSlot(Conn& c, Slot& slot)
+        //! free mask. \returns it when it is to be posted (nullptr: it is
+        //! answered Draining without a post).
+        auto stageSlot(Conn& c, Slot& slot) -> Slot*
         {
             slot.tmpl = c.header.tmpl;
             slot.len = c.header.payloadLen;
@@ -821,33 +813,34 @@ namespace alpaka::net
             {
                 slot.status = Status::Draining;
                 c.ready |= slot.bit();
-                return;
+                return nullptr;
             }
-            c.unposted[c.unpostedCount++] = &slot;
+            return &slot;
         }
 
-        //! Posts the connection's unposted frames, in order, to its shard
-        //! (serve::Service::post). \returns how many the hand-off took; the
-        //! rest stay unposted (retried next poll) and hold the
-        //! connection's reading.
-        auto postFrames(Conn& c) -> std::size_t
-        {
-            auto const n = c.unpostedCount;
-            if(n == 0)
-                return 0;
-            std::array<serve::Posted*, framesPerPoll> requests;
-            std::copy(c.unposted.begin(), c.unposted.begin() + n, requests.begin());
-            auto const taken = router_.shard(c.shard).post(std::span(requests.data(), n));
-            stats_.requestsSubmitted += taken;
-            for(std::size_t i = 0; i < taken; ++i)
-                if(c.unposted[i]->reqId != 0)
-                    ALPAKA_TRACE_INSTANT("net.shard_route", c.unposted[i]->reqId);
-            std::copy(c.unposted.begin() + taken, c.unposted.begin() + n, c.unposted.begin());
-            c.unpostedCount = n - taken;
-            return taken;
-        }
-
+        //! Reads up to framesPerPoll frames, then posts their request
+        //! slots, in order, to the connection's shard
+        //! (serve::Service::post), which takes them all — also when the
+        //! read closed the connection: their answers come back to reap().
         auto pumpRx(Conn& c) -> bool
+        {
+            std::array<serve::Posted*, framesPerPoll> requests;
+            std::size_t posted = 0;
+            auto const progress = readFrames(c, requests, posted);
+            if(posted != 0)
+            {
+                stats_.requestsSubmitted += posted;
+                for(std::size_t i = 0; i < posted; ++i)
+                    if(auto const reqId = static_cast<Slot*>(requests[i])->reqId; reqId != 0)
+                        ALPAKA_TRACE_INSTANT("net.shard_route", reqId);
+                router_.shard(c.shard).post(std::span(requests.data(), posted));
+            }
+            return progress;
+        }
+
+        //! pumpRx's reading half: each request frame it reads appends its
+        //! slot to \p requests (\p posted of them so far).
+        auto readFrames(Conn& c, std::array<serve::Posted*, framesPerPoll>& requests, std::size_t& posted) -> bool
         {
             bool progress = false;
             for(std::size_t frame = 0; frame < framesPerPoll; ++frame)
@@ -906,7 +899,8 @@ namespace alpaka::net
                     closeWithError(c);
                     return true;
                 }
-                handleFrame(c);
+                if(auto* const slot = handleFrame(c))
+                    requests[posted++] = slot;
                 progress = true;
                 c.headerDecoded = false;
                 c.prepared = false;
@@ -944,13 +938,6 @@ namespace alpaka::net
             if(c.transport != nullptr)
                 c.transport->close();
             c.state = ConnState::Reaping;
-            // Frames the shard never took: nobody will answer them.
-            for(std::size_t i = 0; i < c.unpostedCount; ++i)
-            {
-                c.unposted[i]->status = Status::Draining;
-                c.ready |= c.unposted[i]->bit();
-            }
-            c.unpostedCount = 0;
         }
 
         Router& router_;

@@ -23,7 +23,6 @@
 #include <cstring>
 #include <memory>
 #include <utility>
-#include <vector>
 
 namespace alpaka::net
 {
@@ -62,7 +61,12 @@ namespace alpaka::net
         class ByteRing
         {
         public:
-            explicit ByteRing(std::size_t capacity) : buf_(capacity)
+            //! The buffer is not zero-filled: the ring hands out only
+            //! bytes that were written to it, so a page is touched when
+            //! traffic first reaches it, not at construction.
+            explicit ByteRing(std::size_t capacity)
+                : buf_(std::make_unique_for_overwrite<std::byte[]>(capacity))
+                , capacity_(capacity)
             {
             }
 
@@ -72,15 +76,15 @@ namespace alpaka::net
             {
                 auto const tail = tail_.load(std::memory_order_relaxed);
                 auto const head = head_.load(std::memory_order_acquire);
-                auto const space = buf_.size() - static_cast<std::size_t>(tail - head);
+                auto const space = capacity_ - static_cast<std::size_t>(tail - head);
                 auto const n = len < space ? len : space;
                 if(n == 0)
                     return 0;
-                auto const at = static_cast<std::size_t>(tail % buf_.size());
-                auto const first = n < buf_.size() - at ? n : buf_.size() - at;
-                std::memcpy(buf_.data() + at, data, first);
+                auto const at = static_cast<std::size_t>(tail % capacity_);
+                auto const first = n < capacity_ - at ? n : capacity_ - at;
+                std::memcpy(buf_.get() + at, data, first);
                 if(first != n)
-                    std::memcpy(buf_.data(), data + first, n - first);
+                    std::memcpy(buf_.get(), data + first, n - first);
                 tail_.store(tail + n, std::memory_order_release);
                 return n;
             }
@@ -95,11 +99,11 @@ namespace alpaka::net
                 auto const n = len < avail ? len : avail;
                 if(n == 0)
                     return 0;
-                auto const at = static_cast<std::size_t>(head % buf_.size());
-                auto const first = n < buf_.size() - at ? n : buf_.size() - at;
-                std::memcpy(data, buf_.data() + at, first);
+                auto const at = static_cast<std::size_t>(head % capacity_);
+                auto const first = n < capacity_ - at ? n : capacity_ - at;
+                std::memcpy(data, buf_.get() + at, first);
                 if(first != n)
-                    std::memcpy(data + first, buf_.data(), n - first);
+                    std::memcpy(data + first, buf_.get(), n - first);
                 head_.store(head + n, std::memory_order_release);
                 return n;
             }
@@ -119,7 +123,8 @@ namespace alpaka::net
             }
 
         private:
-            std::vector<std::byte> buf_;
+            std::unique_ptr<std::byte[]> buf_;
+            std::size_t capacity_;
             std::atomic<std::uint64_t> head_{0};
             std::atomic<std::uint64_t> tail_{0};
             std::atomic<bool> closed_{false};

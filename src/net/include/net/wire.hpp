@@ -7,9 +7,13 @@
 /// A frame is a fixed 32-byte little-endian header plus at most
 /// `maxPayload` payload bytes; the header is encoded and decoded field
 /// by explicit field (no struct memcpy — the wire format is defined by
-/// THIS file, not by the host ABI), and its CRC32 covers the header
-/// (with the crc field zeroed) plus the payload, so a flipped bit
-/// anywhere in the frame is caught before any byte reaches admission.
+/// THIS file, not by the host ABI), and its CRC-32C (Castagnoli, the
+/// iSCSI polynomial, RFC 3720) covers the header (with the crc field
+/// zeroed) plus the payload, so a flipped bit anywhere in the frame is
+/// caught before any byte reaches admission. The CRC runs on the CPU's
+/// CRC32 instruction where it has one (x86-64 SSE4.2, probed once at
+/// run time) and on slicing-by-8 tables elsewhere and in constant
+/// evaluation; both give the same value.
 ///
 /// Error discipline: the decoder is called per received frame on the
 /// poll path, so it must not throw and must not allocate — it returns a
@@ -27,6 +31,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <type_traits>
+
+//! 1 where the frame CRC may run on the SSE4.2 CRC32 instruction
+//! (x86-64, GCC or Clang; the CPU is still probed at run time).
+#if defined(__x86_64__) && defined(__GNUC__)
+#    define ALPAKA_NET_CRC32_SSE42 1
+#else
+#    define ALPAKA_NET_CRC32_SSE42 0
+#endif
 
 namespace alpaka::net
 {
@@ -34,7 +47,8 @@ namespace alpaka::net
     inline constexpr std::uint16_t wireMagic = 0xA1FA;
     //! Protocol revision; a mismatch rejects the connection at Hello.
     //! 2: admin frame family (MetricsScrape..AdminData, Status::Partial).
-    inline constexpr std::uint8_t wireVersion = 2;
+    //! 3: the frame CRC is CRC-32C (reflected 0x82F63B78), not CRC-32.
+    inline constexpr std::uint8_t wireVersion = 3;
 
     //! Frame taxonomy. Hello/HelloAck bind a connection to a tenant
     //! (the tenant name travels ONCE, in the Hello payload — request
@@ -112,8 +126,8 @@ namespace alpaka::net
     //! echoed verbatim). deadlineUs is a RELATIVE budget (0 = none) —
     //! absolute time points do not survive a wire hop between clocks.
     //! shardHint is advisory: the router's tenant-affine hash decides,
-    //! the hint lets tests pin a shard. crc is CRC32 (reflected
-    //! 0xEDB88320) over the 32 header bytes with crc itself zeroed,
+    //! the hint lets tests pin a shard. crc is CRC-32C (reflected
+    //! 0x82F63B78) over the 32 header bytes with crc itself zeroed,
     //! then the payload bytes.
     struct FrameHeader
     {
@@ -269,7 +283,7 @@ namespace alpaka::net
         }
         //! @}
 
-        //! Reflected CRC32 table (polynomial 0xEDB88320), built at
+        //! Reflected CRC-32C table (polynomial 0x82F63B78), built at
         //! compile time so the codec has no runtime init order to get
         //! wrong.
         inline constexpr auto crcTable = []
@@ -279,7 +293,7 @@ namespace alpaka::net
             {
                 std::uint32_t c = i;
                 for(int k = 0; k < 8; ++k)
-                    c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1U) : c >> 1U;
+                    c = (c & 1U) != 0 ? 0x82F63B78U ^ (c >> 1U) : c >> 1U;
                 table[i] = c;
             }
             return table;
@@ -289,7 +303,7 @@ namespace alpaka::net
         //! from crcTable: crcTables[k][b] is the CRC state contributed
         //! by byte b followed by k zero bytes. Eight input bytes then
         //! fold in with eight independent lookups instead of a chain of
-        //! eight dependent ones; the result is the same CRC32.
+        //! eight dependent ones; the result is the same CRC-32C.
         inline constexpr auto crcTables = []
         {
             std::array<std::array<std::uint32_t, 256>, 8> tables{};
@@ -300,9 +314,11 @@ namespace alpaka::net
             return tables;
         }();
 
-        //! Advances the (pre-inverted) CRC32 state \p crc over \p len
-        //! bytes: eight bytes per step, then a bytewise tail.
-        [[nodiscard]] constexpr auto crc32Update(std::uint32_t crc, std::byte const* data, std::size_t len) noexcept
+        //! The table path of crc32Update: advances the (pre-inverted)
+        //! CRC-32C state \p crc over \p len bytes, eight bytes per step,
+        //! then a bytewise tail. Portable and usable in constant
+        //! expressions.
+        [[nodiscard]] constexpr auto crc32UpdateTable(std::uint32_t crc, std::byte const* data, std::size_t len) noexcept
             -> std::uint32_t
         {
             auto const& t = crcTables;
@@ -318,9 +334,34 @@ namespace alpaka::net
                 crc = crcTable[(crc ^ static_cast<std::uint32_t>(data[i])) & 0xFFU] ^ (crc >> 8U);
             return crc;
         }
+
+#if ALPAKA_NET_CRC32_SSE42
+        //! The SSE4.2 CRC32 instruction path of crc32Update (wire.cpp,
+        //! compiled for that target alone): eight bytes per instruction.
+        //! Call it only where hasCrc32Instruction is true.
+        [[nodiscard]] auto crc32UpdateSse42(std::uint32_t crc, std::byte const* data, std::size_t len) noexcept
+            -> std::uint32_t;
+        //! Whether this CPU has SSE4.2, probed once at static
+        //! initialisation (wire.cpp). Read earlier, it is false and
+        //! crc32Update takes the table path, which gives the same value.
+        extern bool const hasCrc32Instruction;
+#endif
+
+        //! Advances the (pre-inverted) CRC-32C state \p crc over \p len
+        //! bytes: the CPU's CRC32 instruction where it has one, the
+        //! slicing-by-8 tables elsewhere and in constant evaluation.
+        [[nodiscard]] constexpr auto crc32Update(std::uint32_t crc, std::byte const* data, std::size_t len) noexcept
+            -> std::uint32_t
+        {
+#if ALPAKA_NET_CRC32_SSE42
+            if(!std::is_constant_evaluated() && hasCrc32Instruction)
+                return crc32UpdateSse42(crc, data, len);
+#endif
+            return crc32UpdateTable(crc, data, len);
+        }
     } // namespace detail
 
-    //! CRC32 of one frame: the 32 encoded header bytes with the crc
+    //! CRC-32C of one frame: the 32 encoded header bytes with the crc
     //! field (offset 28) treated as zero, then the payload.
     [[nodiscard]] constexpr auto frameCrc(
         std::byte const* headerBytes,

@@ -25,10 +25,11 @@
 ///  * A bounded MPMC admission queue with per-tenant accounting:
 ///    submit() fails fast with AdmissionError when the global or
 ///    per-tenant bound is hit, submitFor() blocks up to a deadline for
-///    space (backpressure, invariant 13). post() hands requests to the
-///    workers instead, which admit them through the same bounds and
-///    report every outcome, refusals included, to the request's
-///    Completion (the wire path: admission leaves the poll thread).
+///    space (backpressure, invariant 13). post() links requests into a
+///    list the workers take instead, with one CAS; the workers admit
+///    them through the same bounds and report every outcome, refusals
+///    included, to the request's Completion (the wire path: admission
+///    leaves the poll thread).
 ///  * Per-tenant fair scheduling: workers pick the next non-empty tenant
 ///    round-robin; one pick drains at most one template's maxBatch from
 ///    that tenant before the cursor moves on (invariant 14).
@@ -177,25 +178,26 @@ namespace alpaka::serve
         //! Blocking submit of the full Request surface.
         auto submitFor(Request const& request, std::chrono::nanoseconds timeout) -> Future;
 
-        //! Completion-only hand-off (DESIGN.md §6.2): queues \p requests
-        //! for a worker of this service, which has each describe itself
-        //! and admits them exactly as submit() would (same reservations,
-        //! bounds, tenant queues and shedding) at the top of its loop; a
-        //! tenant's posted requests queue in post order, and a refusal
-        //! ends its run (the rest of that tenant's run in the same pass is
-        //! refused too), so no request overtakes an earlier one. Never
-        //! blocks and never spins: \returns how many requests, a prefix
-        //! of the span, were taken. The rest found the bounded hand-off
-        //! full; nothing of them was read or fired, and they stay the
-        //! caller's to post again. Every taken request resolves exactly
-        //! once through its completion, whatever happens: its own outcome
-        //! once admitted; AdmissionError when a bound or the queue is full
-        //! or the service is shutting down; UnknownTemplateError;
-        //! DeadlineError or CancelledError (at admission or before
-        //! dispatch); OverloadError; WorkerLostError. A taken Posted, and
-        //! what its describe() reads, stays valid and unchanged until its
-        //! completion fired: the hand-off holds its address.
-        auto post(std::span<Posted* const> requests) -> std::size_t;
+        //! Completion-only hand-off (DESIGN.md §6.2): links \p requests
+        //! into this service's posted list with one CAS, for a worker,
+        //! which has each describe itself and admits them exactly as
+        //! submit() would (same reservations, bounds, tenant queues and
+        //! shedding) at the top of its loop; a tenant's posted requests
+        //! queue in post order, and a refusal ends its run (the rest of
+        //! that tenant's run in the same pass is refused too), so no
+        //! request overtakes an earlier one. Takes every request, never
+        //! blocks and never spins: the list is bounded by the callers'
+        //! Posted objects, not by a buffer of its own. Every request
+        //! resolves exactly once through its completion, whatever
+        //! happens: its own outcome once admitted; AdmissionError when a
+        //! bound or the queue is full or the service is shutting down (a
+        //! post after shutdown is refused on the caller's thread);
+        //! UnknownTemplateError; DeadlineError or CancelledError (at
+        //! admission or before dispatch); OverloadError; WorkerLostError.
+        //! A posted Posted, and what its describe() reads, stays valid
+        //! and unchanged until its completion fired: the list holds its
+        //! address and its link.
+        void post(std::span<Posted* const> requests);
 
         //! Blocks until no request is posted, queued, in flight, or
         //! resolving.
@@ -435,9 +437,9 @@ namespace alpaka::serve
             std::vector<RequestItem> items;
             //! Reused per-request outcome buffer of execute().
             std::vector<std::exception_ptr> outcomes;
-            //! The requests one admitPosted() pass took from the hand-off,
-            //! as their Posted described them, and their outcomes (sized
-            //! once, at construction, to the hand-off's capacity).
+            //! One postedChunk of the list an admitPosted() pass took, as
+            //! their Posted described them, and their outcomes (sized
+            //! once, at construction, to postedChunk).
             std::vector<Request> posted;
             std::vector<Admission> postedOutcomes;
             std::shared_ptr<Beat> beat = std::make_shared<Beat>();
@@ -573,10 +575,19 @@ namespace alpaka::serve
             std::span<Admission> out,
             std::chrono::steady_clock::time_point now,
             std::size_t& staged) -> Waiting;
-        //! Takes what post() queued from the hand-off and admits it through
-        //! admit(); a refusal fires the request's completion. One worker at
-        //! a time, so posted requests queue in post order.
+        //! Takes the whole posted list with one CAS, reverses it into
+        //! post order and admits it through admit(), postedChunk requests
+        //! at a time; a refusal fires the request's completion. One
+        //! worker at a time (admittingPosted_), so posted requests queue
+        //! in post order.
         void admitPosted(Worker& worker);
+        //! Reverses the newest-first posted list \p newestFirst in place;
+        //! \returns its head in post order.
+        [[nodiscard]] static auto inPostOrder(Posted* newestFirst) noexcept -> Posted*;
+        //! Fires every request of the (newest-first) posted list \p head
+        //! with AdmissionError \p why, in post order; each counts as
+        //! rejected before its completion fires.
+        void refusePosted(Posted* head, char const* why);
         //! Lock-free template lookup; nullptr for an unknown id.
         [[nodiscard]] auto templateFind(TemplateId id) -> TemplateState*;
         //! Lock-free tenant lookup through the open-addressed index;
@@ -623,8 +634,9 @@ namespace alpaka::serve
         //! as completed, \p failures of them as failed. Caller holds
         //! mutex_; finishResolving() follows the resolution.
         void settleInFlightLocked(std::vector<Pending> const& requests, std::size_t failures);
-        //! drain()'s predicate: posted == queued == in-flight == resolving
-        //! == 0. Caller holds mutex_.
+        //! drain()'s predicate: nothing posted or being admitted from the
+        //! posted list, and queued == in-flight == resolving == 0. Caller
+        //! holds mutex_.
         [[nodiscard]] auto idleLocked() const -> bool;
         //! Drops resolving_ by \p count once those futures have
         //! resolved (their stats settled before) and wakes drain() if
@@ -676,31 +688,32 @@ namespace alpaka::serve
         //! so its own requests keep their ring (FIFO) order (§8.7).
         static constexpr std::size_t admitRingCells = 256;
         core::MpmcRing<Pending> admitRing_{admitRingCells};
-        //! post()'s hand-off: the posted requests, waiting for a worker's
-        //! admitPosted(). Bounded and allocated once; a cell holds one
-        //! pointer (litmus: serve/*_admit_ring_cell, the same ring
-        //! protocol).
-        static constexpr std::size_t handoffCells = 64;
-        core::MpmcRing<Posted*> handoff_{handoffCells};
         //! Dekker gate against shutdown (litmus: serve/*_admit_stop_gate):
-        //! a submitter or poster raises the gate (seq_cst) and THEN checks
-        //! stop_; shutdown stores stop_ and spins until the gate is zero
-        //! before its leftover sweeps. Either the submitter sees stop_ and
-        //! backs out, or shutdown waits for the ring or hand-off push to
-        //! land — no request is ever orphaned in either.
+        //! a submitter raises the gate (seq_cst) and THEN checks stop_;
+        //! shutdown stores stop_ and spins until the gate is zero before
+        //! its leftover sweeps. Either the submitter sees stop_ and backs
+        //! out, or shutdown waits for the ring push to land — no request
+        //! is ever orphaned in the admission ring.
         alignas(64) std::atomic<std::size_t> admitGate_{0};
-        //! Posted requests not yet through admitPosted(): raised by post()
-        //! before its pushes, dropped (release) after their admission, so
-        //! a reader that sees it fall also sees what they queued. On the
-        //! gate's cache line, which post() writes anyway, and off the line
-        //! of queued_, which the workers write per batch.
-        std::atomic<std::size_t> posted_{0};
         std::atomic<bool> stop_{false};
+        //! post()'s intrusive list (litmus: serve/*_posted_list): newest
+        //! first through Posted::next_. post() links its span locally and
+        //! pushes it with one CAS (release); a worker's admitPosted()
+        //! takes the whole list with one CAS to nullptr (acquire).
+        //! shutdown() swaps in the closed mark (a Posted no caller owns):
+        //! a post that finds it refuses inline.
+        alignas(64) std::atomic<Posted*> postedHead_{nullptr};
+        //! Held by the one worker in admitPosted() (and by shutdown while
+        //! it refuses what its swap took): raised before the take, dropped
+        //! (release) once what it took is admitted, so a reader that saw
+        //! the list empty and then this clear sees what those requests
+        //! queued (litmus: serve/*_posted_idle).
+        std::atomic<bool> admittingPosted_{false};
+        //! Requests one admitPosted() admission span covers at most.
+        static constexpr std::size_t postedChunk = 64;
         //! Admitted, undispatched requests (ring-staged + tenant-queued);
         //! the global bound is enforced by fetch_add-reserve on this.
         alignas(64) std::atomic<std::size_t> queued_{0};
-        //! Held by the one worker in admitPosted().
-        std::atomic<bool> admittingPosted_{false};
         std::atomic<std::uint64_t> admitted_{0};
         std::atomic<std::uint64_t> rejected_{0};
         //! Worker wake word (replaces the old workCv_, which needed

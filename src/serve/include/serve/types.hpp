@@ -272,7 +272,10 @@ namespace alpaka::serve
     //! payload length in its slot, and the tenant once per connection).
     //! describe() runs once, on the admitting worker, before either hook
     //! fires; it fills a default Request (the service sets its
-    //! completion to this object) and must not throw.
+    //! completion to this object) and must not throw. A posted request
+    //! is a node of the service's intrusive posted list: the link below
+    //! is the service's from post() until the admitting worker read it,
+    //! so the list owns no memory of its own.
     class Posted : public Completion
     {
     public:
@@ -290,7 +293,10 @@ namespace alpaka::serve
         }
 
     private:
+        friend class Service;
+
         Describe describe_;
+        Posted* next_ = nullptr;
     };
 
     //! What Service::shutdown(timeout) observed (the bounded-drain

@@ -43,6 +43,19 @@ namespace alpaka::serve
         private:
             std::atomic<std::size_t>& gate_;
         };
+
+        void neverFires(Completion& /*completion*/, std::exception_ptr /*error*/) noexcept
+        {
+        }
+
+        void describesNothing(Posted& /*posted*/, Request& /*request*/) noexcept
+        {
+        }
+
+        //! The posted list's closed mark: shutdown swaps its address into
+        //! the list head. No caller owns it, so no post can link it, and
+        //! nobody ever fires or describes it.
+        Posted closedMark{&neverFires, nullptr, &describesNothing};
     } // namespace
 
     // ------------------------------------------------------------------
@@ -94,8 +107,8 @@ namespace alpaka::serve
         if(info.simDev.has_value())
             worker->simStream.emplace(*info.simDev);
         worker->pool = info.pool;
-        worker->posted.reserve(handoffCells);
-        worker->postedOutcomes.resize(handoffCells);
+        worker->posted.reserve(postedChunk);
+        worker->postedOutcomes.resize(postedChunk);
         return worker;
     }
 
@@ -131,6 +144,17 @@ namespace alpaka::serve
         workWord_.publish();
         spaceCv_.notify_all();
         superviseCv_.notify_all();
+        // Close the posted list (litmus: serve/*_posted_list): from the
+        // swap on, a post refuses inline; what the swap took was never
+        // admitted, and is refused as a post after stop is. Holding
+        // admittingPosted_ keeps drain() and the worker exit check
+        // waiting until those refusals fired (a worker's admission pass
+        // is bounded, so this wait is too).
+        while(admittingPosted_.exchange(true, std::memory_order_acquire))
+            std::this_thread::yield();
+        auto* const leftover = postedHead_.exchange(&closedMark, std::memory_order_acq_rel);
+        refusePosted(leftover == &closedMark ? nullptr : leftover, "serve::Service: posted request refused at shutdown");
+        admittingPosted_.store(false, std::memory_order_release);
         // Admission quiescence (litmus: serve/*_admit_stop_gate): any
         // submitter already past its stop_ check holds the gate until its
         // ring push landed; once the gate reads zero every future ring
@@ -210,25 +234,10 @@ namespace alpaka::serve
             }
         }
 
-        // Whatever is still posted, staged or queued now has nobody left
-        // to serve it: every joinable worker exited (and drained while it
+        // Whatever is still staged or queued now has nobody left to
+        // serve it: every joinable worker exited (and drained while it
         // could) or is stuck with its lost flag set. Resolve the leftovers
-        // so invariant 16 holds across shutdown too. A posted request was
-        // never admitted: it is refused, as a post after stop would be.
-        std::size_t refused = 0;
-        Posted* leftover = nullptr;
-        std::exception_ptr refusal;
-        while(handoff_.pop(leftover))
-        {
-            if(refusal == nullptr)
-                refusal = std::make_exception_ptr(
-                    AdmissionError("serve::Service: posted request refused at shutdown (no live worker remained)"));
-            rejected_.fetch_add(1, std::memory_order_relaxed);
-            leftover->complete(refusal);
-            ++refused;
-        }
-        if(refused != 0)
-            posted_.fetch_sub(refused, std::memory_order_release);
+        // so invariant 16 holds across shutdown too.
         std::vector<Pending> abandoned;
         {
             std::scoped_lock lock(mutex_);
@@ -718,68 +727,98 @@ namespace alpaka::serve
         return admitOne(request, &deadline);
     }
 
-    auto Service::post(std::span<Posted* const> requests) -> std::size_t
+    void Service::post(std::span<Posted* const> requests)
     {
         if(requests.empty())
-            return 0;
-        // The submitters' Dekker pair with shutdown covers the hand-off
-        // too (litmus: serve/*_admit_stop_gate): past this stop_ check,
-        // shutdown's gate drain waits for the pushes below, and its sweep
-        // or a worker sees them.
-        GateGuard gate(admitGate_);
-        if(stop_.load(std::memory_order_seq_cst))
+            return;
+        // Link the span locally, newest first, then push it whole with
+        // one CAS (release: the links and what describe() reads travel
+        // with it; litmus: serve/*_posted_list).
+        for(auto i = requests.size() - 1; i > 0; --i)
+            requests[i]->next_ = requests[i - 1];
+        auto* head = postedHead_.load(std::memory_order_relaxed);
+        do
         {
-            rejected_.fetch_add(requests.size(), std::memory_order_relaxed);
-            auto const error = std::make_exception_ptr(AdmissionError("serve::Service: post while shutting down"));
-            for(auto* r : requests)
-                r->complete(error);
-            return requests.size();
-        }
-        // Counted before the pushes: a worker's drop never passes zero.
-        posted_.fetch_add(requests.size(), std::memory_order_relaxed);
-        std::size_t taken = 0;
-        for(auto* r : requests)
-        {
-            if(!handoff_.push(r))
-                break; // full: the rest stays the caller's
-            ++taken;
-        }
-        if(taken != requests.size())
-            posted_.fetch_sub(requests.size() - taken, std::memory_order_relaxed);
-        if(taken != 0)
+            if(head == &closedMark)
+            {
+                requests.front()->next_ = nullptr;
+                refusePosted(requests.back(), "serve::Service: post while shutting down");
+                return;
+            }
+            requests.front()->next_ = head;
+        } while(!postedHead_.compare_exchange_weak(
+            head,
+            requests.back(),
+            std::memory_order_release,
+            std::memory_order_relaxed));
+        // Only the push that made the list non-empty wakes: a later one
+        // lands in a list whose taker is already on its way.
+        if(head == nullptr)
             workWord_.publish(); // wake a parked worker (elided when none is)
-        return taken;
     }
 
     void Service::admitPosted(Worker& worker)
     {
-        if(posted_.load(std::memory_order_relaxed) == 0 || admittingPosted_.exchange(true, std::memory_order_acquire))
+        auto* head = postedHead_.load(std::memory_order_relaxed);
+        if(head == nullptr || head == &closedMark || admittingPosted_.exchange(true, std::memory_order_acquire))
             return;
-        auto& requests = worker.posted;
-        Posted* posted = nullptr;
-        while(requests.size() < handoffCells && handoff_.pop(posted))
+        // Take the whole list (acquire: the posters' links and slots;
+        // release: a reader that sees it empty sees admittingPosted_ up;
+        // litmus: serve/*_posted_list, serve/*_posted_idle). The closed
+        // mark stays where it is.
+        while(head != nullptr && head != &closedMark
+              && !postedHead_.compare_exchange_weak(
+                  head,
+                  nullptr,
+                  std::memory_order_acq_rel,
+                  std::memory_order_relaxed))
         {
-            auto& request = requests.emplace_back();
-            posted->describe(request);
-            request.completion = posted;
         }
-        auto const n = requests.size();
-        if(n != 0)
+        auto* list = inPostOrder(head == &closedMark ? nullptr : head);
+        auto& requests = worker.posted;
+        while(list != nullptr)
         {
-            auto const out = std::span(worker.postedOutcomes).first(n);
+            // Every link of this chunk is read before its admission fires
+            // a completion, which hands the Posted back to its caller.
+            for(; list != nullptr && requests.size() < postedChunk; list = list->next_)
+            {
+                auto& request = requests.emplace_back();
+                list->describe(request);
+                request.completion = list;
+            }
+            auto const out = std::span(worker.postedOutcomes).first(requests.size());
             admit(requests, out, nullptr);
             // A posted request's refusal is its outcome: it goes to the
             // completion, after admit() counted it rejected.
-            for(std::size_t i = 0; i < n; ++i)
+            for(std::size_t i = 0; i < requests.size(); ++i)
                 if(!out[i].admitted)
                     requests[i].completion->complete(std::exchange(out[i].error, nullptr));
             requests.clear();
         }
+        // Release: whoever sees this drop sees what the list queued
+        // (litmus: serve/*_posted_idle).
         admittingPosted_.store(false, std::memory_order_release);
-        // Release: whoever sees the count fall sees what these queued
-        // (litmus: serve/*_posted_count).
-        if(n != 0)
-            posted_.fetch_sub(n, std::memory_order_release);
+    }
+
+    auto Service::inPostOrder(Posted* newestFirst) noexcept -> Posted*
+    {
+        Posted* list = nullptr;
+        while(newestFirst != nullptr)
+            list = std::exchange(newestFirst, std::exchange(newestFirst->next_, list));
+        return list;
+    }
+
+    void Service::refusePosted(Posted* head, char const* why)
+    {
+        if(head == nullptr)
+            return;
+        auto const error = std::make_exception_ptr(AdmissionError(why));
+        // Each link is read before its completion hands the Posted back.
+        for(auto* list = inPostOrder(head); list != nullptr;)
+        {
+            rejected_.fetch_add(1, std::memory_order_relaxed);
+            std::exchange(list, list->next_)->complete(error);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1042,13 +1081,14 @@ namespace alpaka::serve
                 std::unique_lock lock(mutex_);
                 drainAdmissionLocked();
                 if(stop_.load(std::memory_order_seq_cst) && admitGate_.load(std::memory_order_seq_cst) == 0
-                   && posted_.load(std::memory_order_seq_cst) == 0 && queued_.load(std::memory_order_seq_cst) == 0)
+                   && postedHead_.load(std::memory_order_seq_cst) == &closedMark
+                   && !admittingPosted_.load(std::memory_order_seq_cst)
+                   && queued_.load(std::memory_order_seq_cst) == 0)
                 {
                     // Stopped, no admission mid-push (the gate read pairs
-                    // with the submitter's raise), nothing posted and
-                    // nothing queued (read after the posted count, which
-                    // drops only once its requests queued; litmus:
-                    // serve/*_posted_count).
+                    // with the submitter's raise), the posted list closed,
+                    // nobody admitting from it and nothing queued (read in
+                    // that order: litmus: serve/*_posted_idle).
                     exit = true;
                 }
                 else if(queued_.load(std::memory_order_relaxed) > 0)
@@ -1426,11 +1466,13 @@ namespace alpaka::serve
 
     auto Service::idleLocked() const -> bool
     {
-        // The posted count first (acquire): once it read zero, what its
-        // requests queued is visible to the queued_ read (litmus:
-        // serve/*_posted_count).
-        return posted_.load(std::memory_order_acquire) == 0 && queued_.load(std::memory_order_relaxed) == 0
-               && inFlight_ == 0 && resolving_ == 0;
+        // The list head, then admittingPosted_, then queued_ (each
+        // acquire): a list taken by a worker is either still being
+        // admitted, or what it queued is visible below (litmus:
+        // serve/*_posted_idle).
+        auto const* const head = postedHead_.load(std::memory_order_acquire);
+        return (head == nullptr || head == &closedMark) && !admittingPosted_.load(std::memory_order_acquire)
+               && queued_.load(std::memory_order_relaxed) == 0 && inFlight_ == 0 && resolving_ == 0;
     }
 
     void Service::finishResolving(std::size_t count)

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdlib>
 #include <cstring>
@@ -255,20 +256,21 @@ TEST(NetWire, FuzzedValidFramesDecodeClean)
 
 namespace
 {
-    //! Bit-at-a-time reference CRC32 (reflected 0xEDB88320), kept here
-    //! independent of the codec's tables.
-    [[nodiscard]] auto referenceCrc(std::uint32_t crc, std::byte const* data, std::size_t len) -> std::uint32_t
+    //! Bit-at-a-time reference CRC-32C (reflected 0x82F63B78), kept here
+    //! independent of the codec's tables and of the CRC32 instruction.
+    [[nodiscard]] constexpr auto referenceCrc(std::uint32_t crc, std::byte const* data, std::size_t len)
+        -> std::uint32_t
     {
         for(std::size_t i = 0; i < len; ++i)
         {
             crc ^= static_cast<std::uint32_t>(data[i]);
             for(int k = 0; k < 8; ++k)
-                crc = (crc & 1U) != 0 ? 0xEDB88320U ^ (crc >> 1U) : crc >> 1U;
+                crc = (crc & 1U) != 0 ? 0x82F63B78U ^ (crc >> 1U) : crc >> 1U;
         }
         return crc;
     }
 
-    //! The CRC-32 check input, "123456789".
+    //! The CRC check input, "123456789".
     constexpr auto checkInput = []
     {
         std::array<std::byte, 9> bytes{};
@@ -276,22 +278,28 @@ namespace
             bytes[i] = static_cast<std::byte>('1' + i);
         return bytes;
     }();
+
+    //! The CRC-32C check value of "123456789" (RFC 3720, B.4).
+    constexpr std::uint32_t checkValue = 0xE3069283U;
 } // namespace
 
-// crc32Update stays usable in a constant expression.
-static_assert(
-    (net::detail::crc32Update(0xFFFFFFFFU, checkInput.data(), checkInput.size()) ^ 0xFFFFFFFFU) == 0xCBF43926U);
+// crc32Update stays usable in a constant expression (the table path),
+// and the reference agrees with the published check value.
+static_assert((net::detail::crc32Update(0xFFFFFFFFU, checkInput.data(), checkInput.size()) ^ 0xFFFFFFFFU) == checkValue);
+static_assert((referenceCrc(0xFFFFFFFFU, checkInput.data(), checkInput.size()) ^ 0xFFFFFFFFU) == checkValue);
 
-//! The CRC-32 check value ("123456789" -> 0xCBF43926), at run time too.
-TEST(NetWire, Crc32CheckValue)
+//! The CRC-32C check value at run time, through the dispatched path and
+//! the table path alike.
+TEST(NetWire, Crc32cCheckValue)
 {
     auto const* const bytes = reinterpret_cast<std::byte const*>("123456789");
-    EXPECT_EQ(net::detail::crc32Update(0xFFFFFFFFU, bytes, 9) ^ 0xFFFFFFFFU, 0xCBF43926U);
+    EXPECT_EQ(net::detail::crc32Update(0xFFFFFFFFU, bytes, 9) ^ 0xFFFFFFFFU, checkValue);
+    EXPECT_EQ(net::detail::crc32UpdateTable(0xFFFFFFFFU, bytes, 9) ^ 0xFFFFFFFFU, checkValue);
 }
 
 //! Every input length 0..200 (all eight-byte-block/tail splits), random
 //! bytes and random start states, against the bitwise reference.
-TEST(NetWire, Crc32MatchesBitwiseReference)
+TEST(NetWire, Crc32cMatchesBitwiseReference)
 {
     auto const seed = envSeed();
     SCOPED_TRACE("ALPAKA_STRESS_SEED=" + std::to_string(seed));
@@ -311,17 +319,49 @@ TEST(NetWire, Crc32MatchesBitwiseReference)
     }
 }
 
+//! The table path called directly — the one a CPU without a CRC32
+//! instruction runs, exercised here on any host — against the dispatched
+//! path and the bitwise reference: lengths 0..64 at eight start offsets
+//! (every alignment of the eight-byte steps).
+TEST(NetWire, Crc32cTablePathMatchesTheDispatchedPath)
+{
+    std::mt19937_64 rng(envSeed() ^ 0x7AB1EULL);
+    std::array<std::byte, 64 + 8> data{};
+    for(auto& b : data)
+        b = static_cast<std::byte>(rng());
+    for(std::size_t offset = 0; offset < 8; ++offset)
+        for(std::size_t len = 0; len <= 64; ++len)
+        {
+            auto const start = static_cast<std::uint32_t>(rng());
+            auto const* const at = data.data() + offset;
+            auto const table = net::detail::crc32UpdateTable(start, at, len);
+            EXPECT_EQ(table, referenceCrc(start, at, len)) << "len " << len << " offset " << offset;
+            EXPECT_EQ(table, net::detail::crc32Update(start, at, len)) << "len " << len << " offset " << offset;
+        }
+}
+
 //! A whole 48-byte Request frame (header + 16-byte payload, CRC
-//! embedded), byte for byte: the wire format does not move.
+//! embedded), byte for byte: the wire format does not move. The CRC
+//! bytes are the bitwise reference's, checked here too.
 TEST(NetWire, GoldenRequestFrame)
 {
     constexpr std::array<unsigned, 48> golden{
-        0xFA, 0xA1, 0x02, 0x02, 0x00, 0x00, 0x07, 0x00, // magic, version, type, status, shardHint
+        0xFA, 0xA1, 0x03, 0x02, 0x00, 0x00, 0x07, 0x00, // magic, version, type, status, shardHint
         0x2A, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, // tmpl, payloadLen
         0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, // reqId
-        0xC4, 0x09, 0x00, 0x00, 0x54, 0x97, 0x4C, 0xB5, // deadlineUs, crc
+        0xC4, 0x09, 0x00, 0x00, 0xF3, 0xF4, 0xCC, 0xF6, // deadlineUs, crc
         0x01, 0x04, 0x07, 0x0A, 0x0D, 0x10, 0x13, 0x16, // payload
         0x19, 0x1C, 0x1F, 0x22, 0x25, 0x28, 0x2B, 0x2E};
+    std::array<std::byte, golden.size()> goldenBytes{};
+    for(std::size_t i = 0; i < golden.size(); ++i)
+        goldenBytes[i] = static_cast<std::byte>(golden[i]);
+    auto zeroedCrc = goldenBytes;
+    std::fill_n(zeroedCrc.begin() + 28, 4, std::byte{0});
+    EXPECT_EQ(
+        referenceCrc(0xFFFFFFFFU, zeroedCrc.data(), zeroedCrc.size()) ^ 0xFFFFFFFFU,
+        net::detail::load32(goldenBytes.data() + 28))
+        << "the golden CRC bytes are the reference CRC-32C of the frame";
+
     auto const payload = samplePayload();
     std::array<std::byte, net::headerSize + 16> frame{};
     net::encodeHeader(sampleHeader(), frame.data(), payload.data(), payload.size());
@@ -329,4 +369,17 @@ TEST(NetWire, GoldenRequestFrame)
     for(std::size_t i = 0; i < golden.size(); ++i)
         EXPECT_EQ(static_cast<unsigned>(frame[i]), golden[i]) << "byte " << i;
     EXPECT_EQ(net::verifyCrc(frame.data(), frame.data() + net::headerSize, 16), net::DecodeError::None);
+}
+
+//! A version-2 frame (CRC-32 framing) is refused at the version guard,
+//! before its CRC is looked at.
+TEST(NetWire, VersionTwoFrameIsRefused)
+{
+    auto h = sampleHeader();
+    h.version = 2;
+    auto const payload = samplePayload();
+    std::array<std::byte, net::headerSize> buf{};
+    net::encodeHeader(h, buf.data(), payload.data(), payload.size());
+    net::FrameHeader out;
+    EXPECT_EQ(net::decodeHeader(buf.data(), buf.size(), 1024, out), net::DecodeError::BadVersion);
 }

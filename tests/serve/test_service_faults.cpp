@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -23,6 +24,7 @@
 #include <new>
 #include <memory>
 #include <optional>
+#include <random>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -46,6 +48,14 @@ namespace
         double in = 0.0;
         double out = 0.0;
     };
+
+    //! ALPAKA_STRESS_SEED (decimal) when set, the repo-wide convention.
+    [[nodiscard]] auto testSeed() -> std::uint64_t
+    {
+        if(char const* const env = std::getenv("ALPAKA_STRESS_SEED"))
+            return std::strtoull(env, nullptr, 10);
+        return 0x5EF0457ULL;
+    }
 
     //! in * 2 + 1 through request-scoped scratch (the test_service.cpp
     //! workhorse, reused so fault runs cover the scratch path too).
@@ -164,6 +174,8 @@ namespace
             auto& self = static_cast<CountingCompletion&>(completion);
             self.completedSeen = self.svc->stats().completed;
             self.error = e;
+            if(self.sequence != nullptr)
+                self.firedAt = self.sequence->fetch_add(1, std::memory_order_relaxed);
             self.fired.fetch_add(1, std::memory_order_release);
         }
 
@@ -189,6 +201,9 @@ namespace
         serve::Request request; //!< what a post describes
         std::exception_ptr error;
         std::uint64_t completedSeen = 0;
+        //! When set, the hook numbers its firing from this counter.
+        std::atomic<std::size_t>* sequence = nullptr;
+        std::size_t firedAt = 0;
         std::atomic<int> fired{0};
         std::atomic<int> released{0};
     };
@@ -235,12 +250,11 @@ namespace
     }
 
     //! \p completion, describing \p request, posted (Service::post).
-    //! \returns whether the hand-off took it.
-    auto postWith(serve::Service& svc, serve::Request const& request, CountingCompletion& completion) -> bool
+    void postWith(serve::Service& svc, serve::Request const& request, CountingCompletion& completion)
     {
         completion.request = request;
         serve::Posted* const posted = &completion;
-        return svc.post({&posted, 1}) == 1;
+        svc.post({&posted, 1});
     }
 } // namespace
 
@@ -817,9 +831,9 @@ TEST(ServeCompletion, NeverFiresForARefusal)
 
 // ------------------------------------------------------------ post contract
 //
-// Service::post: every request the hand-off took resolves exactly once
-// through its completion, refusals included, on a worker (or on the
-// poster, for a post after stop).
+// Service::post: every posted request resolves exactly once through its
+// completion, refusals included, on a worker (or on shutdown's thread
+// for what its swap took, or on the poster for a post after it).
 
 TEST(ServePost, FiresOnceOnSuccessAndOnAThrowingBodyAndDrainWaitsForIt)
 {
@@ -833,11 +847,11 @@ TEST(ServePost, FiresOnceOnSuccessAndOnAThrowingBodyAndDrainWaitsForIt)
     Payload p{3.0, 0.0};
     CountingCompletion ok(svc);
     auto okRequest = requestOf(scaleId, &p);
-    ASSERT_TRUE(postWith(svc, okRequest, ok));
+    postWith(svc, okRequest, ok);
     CountingCompletion failed(svc);
     auto failRequest = requestOf(throwId, nullptr);
-    ASSERT_TRUE(postWith(svc, failRequest, failed));
-    svc.drain(); // covers the hand-off: both fired before it returns
+    postWith(svc, failRequest, failed);
+    svc.drain(); // covers the posted list: both fired before it returns
     EXPECT_EQ(ok.fired.load(), 1);
     EXPECT_EQ(failed.fired.load(), 1);
     EXPECT_EQ(ok.error, nullptr);
@@ -875,9 +889,9 @@ TEST(ServePost, FiresOnceForTheTenantBoundAFullQueueAndAnUnknownTemplate)
     auto tenantRequest = requestOf(scaleId, &p, "second-tenant");
     CountingCompletion full(svc);
     auto fullRequest = requestOf(scaleId, &p);
-    ASSERT_TRUE(postWith(svc, unknownRequest, unknown));
-    ASSERT_TRUE(postWith(svc, tenantRequest, tenantBound));
-    ASSERT_TRUE(postWith(svc, fullRequest, full));
+    postWith(svc, unknownRequest, unknown);
+    postWith(svc, tenantRequest, tenantBound);
+    postWith(svc, fullRequest, full);
     std::this_thread::sleep_for(10ms);
     for(auto const* c : {&unknown, &tenantBound, &full})
         EXPECT_EQ(c->fired.load(), 0) << "decided by the worker, not the poster";
@@ -914,8 +928,8 @@ TEST(ServePost, FiresOnceWhenExpiredOrCancelledAtAdmissionOrBeforeDispatch)
     CountingCompletion cancelledEarly(svc);
     auto cancelledEarlyRequest = requestOf(scaleId, &doomed);
     cancelledEarlyRequest.cancel = token;
-    ASSERT_TRUE(postWith(svc, expiredEarlyRequest, expiredEarly));
-    ASSERT_TRUE(postWith(svc, cancelledEarlyRequest, cancelledEarly));
+    postWith(svc, expiredEarlyRequest, expiredEarly);
+    postWith(svc, cancelledEarlyRequest, cancelledEarly);
     ASSERT_TRUE(expiredEarly.awaitFired());
     ASSERT_TRUE(cancelledEarly.awaitFired());
     EXPECT_TRUE(failsWith<serve::DeadlineError>(expiredEarly.error));
@@ -932,8 +946,8 @@ TEST(ServePost, FiresOnceWhenExpiredOrCancelledAtAdmissionOrBeforeDispatch)
     CountingCompletion cancelledLate(svc);
     auto cancelledLateRequest = requestOf(scaleId, &doomed);
     cancelledLateRequest.cancel = lateToken;
-    ASSERT_TRUE(postWith(svc, expiredLateRequest, expiredLate));
-    ASSERT_TRUE(postWith(svc, cancelledLateRequest, cancelledLate));
+    postWith(svc, expiredLateRequest, expiredLate);
+    postWith(svc, cancelledLateRequest, cancelledLate);
     lateToken.cancel();
     std::this_thread::sleep_for(20ms); // the deadline lapses
     gate.release.store(true, std::memory_order_release);
@@ -970,7 +984,7 @@ TEST(ServePost, FiresOnceWhenShedUnderOverload)
     CountingCompletion overloaded(svc);
     auto request = requestOf(scaleId, &victim);
     request.deadline = std::chrono::steady_clock::now() + 1h;
-    ASSERT_TRUE(postWith(svc, request, overloaded));
+    postWith(svc, request, overloaded);
     std::this_thread::sleep_for(10ms);
     EXPECT_EQ(overloaded.fired.load(), 0) << "the held worker has not admitted it yet";
 
@@ -1009,7 +1023,7 @@ TEST(ServePost, FiresOnceForAWorkerLostAndReleasesOnceTheZombieLetGo)
 
     CountingCompletion lost(svc, /*tracksRelease=*/true);
     auto lostRequest = requestOf(slowId, nullptr);
-    ASSERT_TRUE(postWith(svc, lostRequest, lost));
+    postWith(svc, lostRequest, lost);
     ASSERT_TRUE(lost.awaitFired());
     EXPECT_TRUE(failsWith<serve::WorkerLostError>(lost.error));
     EXPECT_FALSE(zombieDone.load(std::memory_order_acquire)) << "answered by the supervisor";
@@ -1023,7 +1037,7 @@ TEST(ServePost, FiresOnceForAWorkerLostAndReleasesOnceTheZombieLetGo)
 
     CountingCompletion after(svc, /*tracksRelease=*/true);
     auto afterRequest = requestOf(slowId, nullptr);
-    ASSERT_TRUE(postWith(svc, afterRequest, after));
+    postWith(svc, afterRequest, after);
     ASSERT_TRUE(after.awaitFired());
     EXPECT_EQ(after.error, nullptr);
     EXPECT_TRUE(svc.shutdown().clean);
@@ -1033,10 +1047,10 @@ TEST(ServePost, FiresOnceForAWorkerLostAndReleasesOnceTheZombieLetGo)
     EXPECT_EQ(after.released.load(), 0) << "only a lost worker's requests are released";
 }
 
-TEST(ServePost, ShutdownRefusesWhatIsStillInTheHandOff)
+TEST(ServePost, ShutdownRefusesWhatIsStillInThePostedList)
 {
-    // A live worker: it leaves the gate after stop_ and refuses the
-    // posted requests it still finds in the hand-off.
+    // A live worker held in a kernel: shutdown's swap takes the posted
+    // requests it never reached and refuses them.
     {
         Gate gate;
         serve::Service svc(oneWorker());
@@ -1051,21 +1065,21 @@ TEST(ServePost, ShutdownRefusesWhatIsStillInTheHandOff)
         for(auto& r : requests)
         {
             completions.push_back(std::make_unique<CountingCompletion>(svc));
-            ASSERT_TRUE(postWith(svc, r, *completions.back()));
+            postWith(svc, r, *completions.back());
         }
         serve::ShutdownReport report;
         std::thread stopper([&] { report = svc.shutdown(5s); });
         // Post until one is refused on the spot, on this thread: from then
-        // on stop_ is set. The ones taken before it wait in the hand-off
-        // with the three, and the worker must refuse them all once the
-        // gate opens.
+        // on the list is closed. The ones posted before it were in the
+        // list with the three when shutdown swapped it out, and were
+        // refused there.
         std::vector<serve::Request> late(60, requestOf(scaleId, &p));
         std::vector<std::unique_ptr<CountingCompletion>> lateCompletions;
         bool refusedInline = false;
         for(auto& r : late)
         {
             lateCompletions.push_back(std::make_unique<CountingCompletion>(svc));
-            EXPECT_TRUE(postWith(svc, r, *lateCompletions.back()));
+            postWith(svc, r, *lateCompletions.back());
             if(lateCompletions.back()->fired.load() == 1)
             {
                 refusedInline = true;
@@ -1086,7 +1100,7 @@ TEST(ServePost, ShutdownRefusesWhatIsStillInTheHandOff)
             }
         EXPECT_DOUBLE_EQ(p.out, 0.0);
     }
-    // A stuck worker: shutdown's own sweep refuses them.
+    // A stuck worker: shutdown refuses them before it waits for it.
     {
         Gate gate;
         std::optional<serve::Service> svc;
@@ -1099,11 +1113,11 @@ TEST(ServePost, ShutdownRefusesWhatIsStillInTheHandOff)
         Payload p{1.0, 0.0};
         auto request = requestOf(scaleId, &p);
         CountingCompletion swept(*svc);
-        ASSERT_TRUE(postWith(*svc, request, swept));
+        postWith(*svc, request, swept);
         auto const report = svc->shutdown(50ms);
         EXPECT_FALSE(report.clean);
         EXPECT_EQ(report.orphanedInFlight, 1u);
-        EXPECT_EQ(swept.fired.load(), 1) << "refused by the sweep, before shutdown returned";
+        EXPECT_EQ(swept.fired.load(), 1) << "refused by shutdown, before it returned";
         EXPECT_TRUE(failsWith<serve::AdmissionError>(swept.error));
         gate.release.store(true, std::memory_order_release);
         svc.reset(); // joins the stuck worker, which loses its claim
@@ -1125,14 +1139,14 @@ TEST(ServePost, APostWakesAParkedWorker)
         Payload p{static_cast<double>(round), 0.0};
         CountingCompletion done(svc);
         auto request = requestOf(scaleId, &p);
-        ASSERT_TRUE(postWith(svc, request, done));
+        postWith(svc, request, done);
         ASSERT_TRUE(done.awaitFired()) << "round " << round << ": the parked worker never woke";
         EXPECT_EQ(done.error, nullptr);
         EXPECT_DOUBLE_EQ(p.out, 2.0 * round + 1.0);
     }
 }
 
-TEST(ServePost, AFullHandOffTakesAPrefixAndLeavesTheRestUntouched)
+TEST(ServePost, ALongSpanIsTakenWholeAndFiresInOrderOnceTheGateOpens)
 {
     Gate gate;
     serve::ServiceOptions options;
@@ -1145,7 +1159,8 @@ TEST(ServePost, AFullHandOffTakesAPrefixAndLeavesTheRestUntouched)
     auto gateFuture = svc.submit(gateId, "t", &gatePayload);
     gate.awaitStarted();
 
-    constexpr std::size_t count = 1000; // past any sane hand-off
+    constexpr std::size_t count = 1000; // far past one admission chunk
+    std::atomic<std::size_t> sequence{0};
     std::vector<Payload> payloads(count);
     std::vector<std::unique_ptr<CountingCompletion>> completions;
     std::vector<serve::Posted*> pointers;
@@ -1154,27 +1169,123 @@ TEST(ServePost, AFullHandOffTakesAPrefixAndLeavesTheRestUntouched)
         payloads[i].in = static_cast<double>(i);
         completions.push_back(std::make_unique<CountingCompletion>(svc));
         completions.back()->request = requestOf(scaleId, &payloads[i]);
+        completions.back()->sequence = &sequence;
         pointers.push_back(completions.back().get());
     }
-    auto const taken = svc.post(pointers);
-    EXPECT_GT(taken, 0u);
-    EXPECT_LT(taken, count) << "the hand-off is bounded";
-    for(std::size_t i = 0; i < count; ++i)
-        EXPECT_EQ(completions[i]->fired.load(), 0) << "request " << i;
+    svc.post(pointers); // one post takes the whole span
+    std::this_thread::sleep_for(10ms);
+    EXPECT_EQ(sequence.load(), 0u) << "nothing fires while the only worker is held";
 
     gate.release.store(true, std::memory_order_release);
     gateFuture.wait();
-    std::size_t next = taken;
-    auto const until = std::chrono::steady_clock::now() + 5s;
-    while(next < count && std::chrono::steady_clock::now() < until)
-        next += svc.post(std::span(pointers).subspan(next));
-    ASSERT_EQ(next, count);
     svc.drain();
     for(std::size_t i = 0; i < count; ++i)
     {
         EXPECT_EQ(completions[i]->fired.load(), 1) << "request " << i;
         EXPECT_EQ(completions[i]->error, nullptr) << "request " << i;
+        EXPECT_EQ(completions[i]->firedAt, i) << "request " << i << " fired out of post order";
         EXPECT_DOUBLE_EQ(payloads[i].out, 2.0 * payloads[i].in + 1.0) << "request " << i;
+    }
+    EXPECT_EQ(svc.stats().admitted, count + 1);
+}
+
+//! One thread posts spans of seeded lengths while another shuts the
+//! service down: every completion fires exactly once, with its result or
+//! AdmissionError, whichever side of the swap its post landed on.
+TEST(ServePost, PostsRacingShutdownEachFireOnceWithTheirResultOrARefusal)
+{
+    auto const seed = testSeed();
+    SCOPED_TRACE("ALPAKA_STRESS_SEED=" + std::to_string(seed));
+    constexpr int rounds = 60;
+    constexpr std::size_t perRound = 256;
+    for(int round = 0; round < rounds; ++round)
+    {
+        SCOPED_TRACE("round " + std::to_string(round));
+        std::mt19937_64 rng(seed + static_cast<std::uint64_t>(round));
+        std::vector<Payload> payloads(perRound);
+        std::vector<std::unique_ptr<CountingCompletion>> completions;
+        std::vector<serve::Posted*> pointers;
+        std::size_t posted = 0;
+        {
+            serve::Service svc(serve::ServiceOptions{.cpuWorkers = 2});
+            auto const scaleId = svc.registerTemplate(scaleTemplate(8));
+            for(std::size_t i = 0; i < perRound; ++i)
+            {
+                payloads[i].in = static_cast<double>(i);
+                completions.push_back(std::make_unique<CountingCompletion>(svc));
+                completions.back()->request = requestOf(scaleId, &payloads[i]);
+                pointers.push_back(completions.back().get());
+            }
+            auto const stopAfter = std::chrono::microseconds(rng() % 400);
+            std::thread poster(
+                [&]
+                {
+                    std::mt19937_64 spans(rng());
+                    while(posted < perRound)
+                    {
+                        auto const n = std::min<std::size_t>(1 + spans() % 16, perRound - posted);
+                        svc.post(std::span(pointers).subspan(posted, n));
+                        posted += n;
+                        if(spans() % 4 == 0)
+                            std::this_thread::yield();
+                    }
+                });
+            std::this_thread::sleep_for(stopAfter);
+            EXPECT_TRUE(svc.shutdown(5s).clean);
+            poster.join();
+        }
+        ASSERT_EQ(posted, perRound);
+        for(std::size_t i = 0; i < perRound; ++i)
+        {
+            ASSERT_EQ(completions[i]->fired.load(), 1) << "request " << i;
+            if(completions[i]->error == nullptr)
+                EXPECT_DOUBLE_EQ(payloads[i].out, 2.0 * payloads[i].in + 1.0) << "request " << i;
+            else
+            {
+                EXPECT_TRUE(failsWith<serve::AdmissionError>(completions[i]->error)) << "request " << i;
+                EXPECT_DOUBLE_EQ(payloads[i].out, 0.0) << "request " << i;
+            }
+        }
+    }
+}
+
+//! drain() called right after a post, while the only worker is parked:
+//! the list is not taken yet and nothing is queued, in flight or
+//! resolving, so only the posted list keeps drain() waiting. The posted
+//! requests are slow, so a drain() that returned early would see none of
+//! them fired.
+TEST(ServePost, DrainWaitsForAListNoWorkerHasTakenYet)
+{
+    serve::Service svc(oneWorker());
+    serve::TemplateDesc slow;
+    slow.name = "slow";
+    slow.body = [](serve::RequestItem const& item)
+    {
+        std::this_thread::sleep_for(1ms);
+        static_cast<Payload*>(item.payload)->out = 1.0;
+    };
+    auto const slowId = svc.registerTemplate(slow);
+    for(int round = 0; round < 10; ++round)
+    {
+        SCOPED_TRACE("round " + std::to_string(round));
+        std::this_thread::sleep_for(5ms); // past the spin budget: the worker parks
+        std::vector<Payload> payloads(3);
+        std::vector<std::unique_ptr<CountingCompletion>> completions;
+        std::vector<serve::Posted*> pointers;
+        for(auto& p : payloads)
+        {
+            completions.push_back(std::make_unique<CountingCompletion>(svc));
+            completions.back()->request = requestOf(slowId, &p);
+            pointers.push_back(completions.back().get());
+        }
+        svc.post(pointers);
+        svc.drain();
+        for(std::size_t i = 0; i < completions.size(); ++i)
+        {
+            ASSERT_EQ(completions[i]->fired.load(), 1) << "drain() returned before posted request " << i << " fired";
+            EXPECT_EQ(completions[i]->error, nullptr);
+            EXPECT_DOUBLE_EQ(payloads[i].out, 1.0);
+        }
     }
 }
 
