@@ -1,14 +1,15 @@
 /// \file Bounded lock-free MPMC ring (Vyukov per-cell-sequence design).
 ///
-/// The queue primitive behind the serve admission path and the node
-/// caches of the lock-free TaskQueue (DESIGN.md §8.6/§8.7). Each cell
+/// The queue primitive behind two block caches: serve's Future::State
+/// recycling allocator and the lock-free TaskQueue's node cache
+/// (DESIGN.md §8.6/§8.7). Each cell
 /// carries its own sequence number: a producer claims a slot with one CAS
 /// on the enqueue cursor, writes the value, then publishes it by storing
 /// seq = pos + 1 (release); a consumer observing that sequence (acquire)
 /// owns the value and recycles the cell by storing seq = pos + capacity.
 /// The per-cell sequence is what makes the design ABA-free across cursor
 /// wraparound, and the single release/acquire edge per handoff is encoded
-/// in litmus/serve/{x86,arm64}_admit_ring_cell.litmus.
+/// in litmus/core/{x86,arm64}_mpmc_ring_cell.litmus.
 ///
 /// Guarantees (relied on by tests/core/test_mpmc_ring.cpp):
 ///  * bounded: push on a full ring fails (returns false), never blocks;
@@ -61,7 +62,7 @@ namespace alpaka::core
                     {
                         cell.value = std::move(value);
                         // Publication edge of the handoff (litmus:
-                        // serve/*_admit_ring_cell): the consumer's acquire
+                        // core/*_mpmc_ring_cell): the consumer's acquire
                         // load of seq orders the value write before its
                         // read.
                         cell.seq.store(pos + 1, std::memory_order_release);

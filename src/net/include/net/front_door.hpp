@@ -524,9 +524,18 @@ namespace alpaka::net
 
         //! Encodes one frame into the staging buffer; \p faults opts the
         //! frame into the chaos sites. \returns false (retry next poll)
-        //! when the staging has no room.
+        //! when the staging has no room for it. Room is checked before
+        //! the sites roll, so every fault hit belongs to a frame staged
+        //! or dropped, however many polls the staging stays full: the
+        //! hit count, and with it a seed's schedule, does not depend on
+        //! timing. A duplicate that finds no room for its second copy
+        //! stages one and is not counted duplicated.
         auto stageFrame(Conn& c, FrameHeader h, std::byte const* payload, bool faults) -> bool
         {
+            auto const frameBytes = headerSize + h.payloadLen;
+            auto const room = c.tx.size() - c.txLen;
+            if(room < frameBytes)
+                return false;
             bool drop = false;
             bool duplicate = false;
             bool truncate = false;
@@ -546,7 +555,7 @@ namespace alpaka::net
                 }
                 catch(fault::InjectedFault const&)
                 {
-                    duplicate = true;
+                    duplicate = room >= 2 * frameBytes;
                 }
                 try
                 {
@@ -562,10 +571,7 @@ namespace alpaka::net
                 ++stats_.framesDropped;
                 return true; // consumed, never sent
             }
-            auto const frameBytes = headerSize + h.payloadLen;
             auto const copies = duplicate ? std::size_t{2} : std::size_t{1};
-            if(c.tx.size() - c.txLen < copies * frameBytes)
-                return false;
             for(std::size_t i = 0; i < copies; ++i)
             {
                 encodeHeader(h, c.tx.data() + c.txLen, payload, h.payloadLen);

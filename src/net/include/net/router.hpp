@@ -2,7 +2,7 @@
 /// (DESIGN.md §9.3).
 ///
 /// One serve::Service already multiplexes tenants fairly, but all its
-/// tenants share one admission ring, one scheduling mutex, one latency
+/// tenants share one scheduling mutex (admission included), one latency
 /// histogram. The router scales that horizontally: N independent
 /// Service shards behind a consistent-hash ring keyed by tenant, so
 ///

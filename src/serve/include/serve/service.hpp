@@ -22,14 +22,15 @@
 ///    per worker (the builder sees each worker's device). Dispatch cost
 ///    is then independent of template complexity — the §4 replay story
 ///    carried to the serving layer.
-///  * A bounded MPMC admission queue with per-tenant accounting:
-///    submit() fails fast with AdmissionError when the global or
-///    per-tenant bound is hit, submitFor() blocks up to a deadline for
-///    space (backpressure, invariant 13). post() links requests into a
-///    list the workers take instead, with one CAS; the workers admit
-///    them through the same bounds and report every outcome, refusals
-///    included, to the request's Completion (the wire path: admission
-///    leaves the poll thread).
+///  * Bounded admission with per-tenant accounting, straight into the
+///    tenant queues under the scheduling mutex: submit() fails fast
+///    with AdmissionError when the global or per-tenant bound is hit,
+///    submitFor() blocks up to a deadline for space (backpressure,
+///    invariant 13). post() links requests into a list the workers take
+///    instead, with one CAS; the workers admit them through the same
+///    bounds and report every outcome, refusals included, to the
+///    request's Completion (the wire path: admission leaves the poll
+///    thread, and the lock it takes is its own worker's).
 ///  * Per-tenant fair scheduling: workers pick the next non-empty tenant
 ///    round-robin; one pick drains at most one template's maxBatch from
 ///    that tenant before the cursor moves on (invariant 14).
@@ -68,7 +69,6 @@
 
 #include "mempool/stream_ops.hpp"
 
-#include "alpaka/core/mpmc_ring.hpp"
 #include "alpaka/stream.hpp"
 
 #include "graph/exec.hpp"
@@ -82,6 +82,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -158,8 +159,9 @@ namespace alpaka::serve
         auto registerTemplate(TemplateDesc desc) -> TemplateId;
 
         //! Admits one request of \p tmpl for \p tenant (created on first
-        //! use). Never blocks: \throws AdmissionError when the global or
-        //! tenant queue bound is reached or the service is shutting down.
+        //! use). Never waits for space: \throws AdmissionError when the
+        //! global or tenant queue bound is reached or the service is
+        //! shutting down.
         //! \throws UsageError for an unknown template id.
         auto submit(TemplateId tmpl, std::string_view tenant, void* payload) -> Future;
 
@@ -181,11 +183,11 @@ namespace alpaka::serve
         //! Completion-only hand-off (DESIGN.md §6.2): links \p requests
         //! into this service's posted list with one CAS, for a worker,
         //! which has each describe itself and admits them exactly as
-        //! submit() would (same reservations, bounds, tenant queues and
-        //! shedding) at the top of its loop; a tenant's posted requests
-        //! queue in post order, and a refusal ends its run (the rest of
-        //! that tenant's run in the same pass is refused too), so no
-        //! request overtakes an earlier one. Takes every request, never
+        //! submit() would (same bounds, tenant queues and shedding) at
+        //! the top of its loop; a tenant's posted requests queue in post
+        //! order, and a refusal ends its run (the rest of that tenant's
+        //! run in the same pass is refused too), so no request overtakes
+        //! an earlier one. Takes every request, never
         //! blocks and never spins: the list is bounded by the callers'
         //! Posted objects, not by a buffer of its own. Every request
         //! resolves exactly once through its completion, whatever
@@ -316,10 +318,10 @@ namespace alpaka::serve
             {
                 return buf_[(head_ + i) % capacity_];
             }
-            //! Capacity is enforced by the admission-side reservation
-            //! (TenantState::depth); a push never overflows. The ring
-            //! reaches its cells in order, so a cell not built yet is the
-            //! next one past the built ones (no reallocation: reserved).
+            //! Capacity is enforced by admit()'s tenant bound check; a
+            //! push never overflows. The ring reaches its cells in order,
+            //! so a cell not built yet is the next one past the built ones
+            //! (no reallocation: reserved).
             void pushBack(Pending&& p)
             {
                 auto const cell = tail_ % capacity_;
@@ -363,17 +365,9 @@ namespace alpaka::serve
             }
 
             std::string name;
-            //! Cached std::hash of name — the lock-free tenant index
-            //! probes compare this before the string.
-            std::size_t hash = 0;
+            //! Its size is the tenant's depth (the per-tenant bound).
             PendingFifo queue;
-            //! Admission-side occupancy: requests of this tenant staged
-            //! in the admission ring plus queued here. Reserved by
-            //! fetch_add (rolled back on reject) BEFORE the ring push, so
-            //! the per-tenant bound holds without any lock; drops under
-            //! mutex_ as requests leave the queue.
-            std::atomic<std::size_t> depth{0};
-            std::atomic<std::uint64_t> admitted{0};
+            std::uint64_t admitted = 0; //!< under mutex_
             std::uint64_t completed = 0; //!< under mutex_
             //! Intrusive round-robin rotation hooks (under mutex_): a
             //! linked rotation beats a std::deque of pointers, whose
@@ -528,15 +522,6 @@ namespace alpaka::serve
             std::exception_ptr error;
         };
 
-        //! Where a staging pass left the requests it could not reserve
-        //! for: how many, and the tenant of the first (the blocking
-        //! path waits for that tenant's space).
-        struct Waiting
-        {
-            std::size_t count = 0;
-            TenantState* tenant = nullptr;
-        };
-
         //! Fires \p request's completion with \p error — the one
         //! resolution call of every site that holds a queued or
         //! dispatched request (worker, supervisor, shutdown, shed;
@@ -545,16 +530,18 @@ namespace alpaka::serve
         //! settled; clears the pointer, so a request resolves once.
         static void resolve(Pending& request, std::exception_ptr error) noexcept;
         //! The one admission path: submit/submitFor (a span of one) and
-        //! admitPosted land here. One admission gate raise, one global
-        //! queue reservation, one clock read and one worker wake for the
-        //! whole span; tenant bounds are reserved per request, looking a
-        //! run of same-tenant requests' tenant up once. \p out[i] receives
-        //! request i's outcome. A tenant's requests queue in span order,
-        //! and a refusal ends its run: the rest of the run is refused
-        //! too. Every failure is a request's error (nothing throws but a
+        //! admitPosted land here. One clock read, one mutex_ section and
+        //! one worker wake for the whole span; under the lock each
+        //! request is checked against the global and tenant bounds and
+        //! pushed into its tenant's queue, looking a run of same-tenant
+        //! requests' tenant up once. \p out[i] receives request i's
+        //! outcome. A tenant's requests queue in span order, and a
+        //! refusal ends its run: the rest of the run is refused too.
+        //! Every failure is a request's error (nothing throws but a
         //! too-short \p out, a UsageError); a span whose requests are all
         //! admitted allocates nothing. With \p spaceDeadline, requests
-        //! refused for space wait for it up to the deadline and retry.
+        //! refused for space wait on spaceCv_ up to the deadline and
+        //! retry. Completions and refusals fire after mutex_ is released.
         void admit(
             std::span<Request const> requests,
             std::span<Admission> out,
@@ -567,14 +554,6 @@ namespace alpaka::serve
             std::span<Request const> requests,
             std::span<Admission> out,
             std::chrono::steady_clock::time_point now);
-        //! One staging pass over the requests still waiting: reserves,
-        //! stages into admitRing_ and \returns what could not reserve.
-        //! \p staged counts the requests this pass admitted.
-        [[nodiscard]] auto stage(
-            std::span<Request const> requests,
-            std::span<Admission> out,
-            std::chrono::steady_clock::time_point now,
-            std::size_t& staged) -> Waiting;
         //! Takes the whole posted list with one CAS, reverses it into
         //! post order and admits it through admit(), postedChunk requests
         //! at a time; a refusal fires the request's completion. One
@@ -590,22 +569,13 @@ namespace alpaka::serve
         void refusePosted(Posted* head, char const* why);
         //! Lock-free template lookup; nullptr for an unknown id.
         [[nodiscard]] auto templateFind(TemplateId id) -> TemplateState*;
-        //! Lock-free tenant lookup through the open-addressed index;
-        //! nullptr on miss (first submit of a tenant — the locked
-        //! creation path handles it).
-        [[nodiscard]] auto tenantFind(std::string_view name) const noexcept -> TenantState*;
+        //! The tenant named \p name, created on first use. \throws
+        //! AdmissionError past maxTenants. Caller holds mutex_.
         [[nodiscard]] auto tenantLocked(std::string_view name) -> TenantState*;
-        //! Reserves one per-tenant queue slot against the tenant bound
-        //! (fetch_add, rolled back on overshoot). \returns false with
-        //! nothing held when the bound is full.
-        [[nodiscard]] auto tryReserveTenant(TenantState& t) noexcept -> bool;
         [[nodiscard]] auto tenantCapacity() const noexcept -> std::size_t
         {
             return options_.tenantCapacity == 0 ? options_.queueCapacity : options_.tenantCapacity;
         }
-        //! Moves every request staged in the admission ring into its
-        //! tenant's queue and rotation slot. Caller holds mutex_.
-        void drainAdmissionLocked();
         //! \name intrusive active-tenant rotation (caller holds mutex_)
         //! @{
         void activePush(TenantState* t) noexcept;
@@ -676,25 +646,10 @@ namespace alpaka::serve
         std::vector<std::atomic<TemplateState*>> templateIndex_
             = std::vector<std::atomic<TemplateState*>>(templateIndexCapacity);
 
-        //! The bounded lock-free admission path (litmus: serve/
-        //! {x86,arm64}_admit_ring_cell, *_admit_stop_gate): a submitter
-        //! reserves against the atomic bounds, stages the request in this
-        //! MPMC ring and publishes workWord_ — no mutex on the submit hot
-        //! path. Workers move staged requests into the tenant queues
-        //! under mutex_ (drainAdmissionLocked) before scheduling. The
-        //! ring is a handoff buffer, not a second copy of the queue: a
-        //! fixed admitRingCells, whatever queueCapacity is. A submitter
-        //! that finds it full drains it under mutex_ itself and retries,
-        //! so its own requests keep their ring (FIFO) order (§8.7).
-        static constexpr std::size_t admitRingCells = 256;
-        core::MpmcRing<Pending> admitRing_{admitRingCells};
-        //! Dekker gate against shutdown (litmus: serve/*_admit_stop_gate):
-        //! a submitter raises the gate (seq_cst) and THEN checks stop_;
-        //! shutdown stores stop_ and spins until the gate is zero before
-        //! its leftover sweeps. Either the submitter sees stop_ and backs
-        //! out, or shutdown waits for the ring push to land — no request
-        //! is ever orphaned in the admission ring.
-        alignas(64) std::atomic<std::size_t> admitGate_{0};
+        //! Set once, by shutdown() under mutex_; admit() reads it under
+        //! the same lock, so an admission either queued before the store
+        //! (and shutdown's sweep sees it) or refuses. Atomic only for the
+        //! worker's lock-free park check.
         std::atomic<bool> stop_{false};
         //! post()'s intrusive list (litmus: serve/*_posted_list): newest
         //! first through Posted::next_. post() links its span locally and
@@ -711,34 +666,41 @@ namespace alpaka::serve
         std::atomic<bool> admittingPosted_{false};
         //! Requests one admitPosted() admission span covers at most.
         static constexpr std::size_t postedChunk = 64;
-        //! Admitted, undispatched requests (ring-staged + tenant-queued);
-        //! the global bound is enforced by fetch_add-reserve on this.
+        //! Admitted, undispatched requests (the tenant queues' total),
+        //! checked against the global bound and written only under
+        //! mutex_. Atomic only for the lock-free readers: the worker's
+        //! park check and idleLocked's read order.
         alignas(64) std::atomic<std::size_t> queued_{0};
         std::atomic<std::uint64_t> admitted_{0};
         std::atomic<std::uint64_t> rejected_{0};
-        //! Worker wake word (replaces the old workCv_, which needed
-        //! mutex_ on the submit side to avoid lost wakeups): a submitter
-        //! publishes after the ring push, workers snapshot-check-spin-park.
+        //! Worker wake word: admit() publishes after its mutex_ section
+        //! (a woken worker finds the lock free), post() after its push;
+        //! workers snapshot-check-spin-park.
         threadpool::detail::PublishWord workWord_;
         //! Checks of workWord_ an idle worker makes before it parks
         //! (zero on one hardware thread, like ThreadPool's).
         int const spinBudget_ = threadpool::detail::machineSpinBudget();
 
         //! Scheduling state under one mutex (short critical sections:
-        //! queue moves and counter updates only — neither execution nor
-        //! admission ever holds it).
+        //! admission's bound checks and queue pushes, queue moves and
+        //! counter updates — execution never holds it). On the wire path
+        //! the admitting thread is the shard's own worker, so the lock is
+        //! uncontended there.
         mutable std::mutex mutex_;
         std::condition_variable spaceCv_; //!< blocking submitters: space freed
         std::condition_variable idleCv_; //!< drain(): everything completed
-        std::unordered_map<std::string, std::unique_ptr<TenantState>> tenants_;
+        //! Heterogeneous lookup: a string_view finds its tenant without
+        //! building a std::string.
+        struct NameHash
+        {
+            using is_transparent = void;
+            auto operator()(std::string_view name) const noexcept -> std::size_t
+            {
+                return std::hash<std::string_view>{}(name);
+            }
+        };
+        std::unordered_map<std::string, std::unique_ptr<TenantState>, NameHash, std::equal_to<>> tenants_;
         std::vector<TenantState*> tenantOrder_; //!< creation order (stats)
-        //! Lock-free tenant index: open-addressed, insert-only (tenant
-        //! records persist), written under mutex_ at creation, probed
-        //! without any lock by submit. Beyond the capacity, extra
-        //! tenants simply miss here and resolve through the locked map.
-        static constexpr std::size_t tenantSlotCount = 1024;
-        std::vector<std::atomic<TenantState*>> tenantSlots_
-            = std::vector<std::atomic<TenantState*>>(tenantSlotCount);
         //! Tenants with a non-empty queue, in round-robin rotation
         //! (intrusive list through TenantState::nextActive): a tenant
         //! enters at the back on its 0→1 queue transition, the scheduler

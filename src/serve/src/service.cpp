@@ -21,29 +21,6 @@ namespace alpaka::serve
                 .count();
         }
 
-        //! RAII arm of the admission gate (the Dekker pair with
-        //! shutdown's stop_-store/gate-spin, litmus: serve/
-        //! *_admit_stop_gate). Raised for a span's whole reserve→push
-        //! window so shutdown's leftover sweep never misses an in-flight
-        //! ring push; released on every exit path.
-        class GateGuard
-        {
-        public:
-            explicit GateGuard(std::atomic<std::size_t>& gate) noexcept : gate_(gate)
-            {
-                gate_.fetch_add(1, std::memory_order_seq_cst);
-            }
-            ~GateGuard()
-            {
-                gate_.fetch_sub(1, std::memory_order_seq_cst);
-            }
-            GateGuard(GateGuard const&) = delete;
-            auto operator=(GateGuard const&) -> GateGuard& = delete;
-
-        private:
-            std::atomic<std::size_t>& gate_;
-        };
-
         void neverFires(Completion& /*completion*/, std::exception_ptr /*error*/) noexcept
         {
         }
@@ -135,11 +112,12 @@ namespace alpaka::serve
         ShutdownReport report;
         auto const deadline = std::chrono::steady_clock::now() + timeout;
         {
-            // Under mutex_ only for the cv waiters (spaceCv_/superviseCv_
-            // check stop_ inside their predicates); the store itself is
-            // the seq_cst half of the admission Dekker.
+            // Under mutex_: admit() and the cv waiters (spaceCv_,
+            // superviseCv_) read stop_ under it, so an admission either
+            // queued before this store, where the workers and the sweep
+            // below find it, or refuses.
             std::scoped_lock lock(mutex_);
-            stop_.store(true, std::memory_order_seq_cst);
+            stop_.store(true);
         }
         workWord_.publish();
         spaceCv_.notify_all();
@@ -155,13 +133,6 @@ namespace alpaka::serve
         auto* const leftover = postedHead_.exchange(&closedMark, std::memory_order_acq_rel);
         refusePosted(leftover == &closedMark ? nullptr : leftover, "serve::Service: posted request refused at shutdown");
         admittingPosted_.store(false, std::memory_order_release);
-        // Admission quiescence (litmus: serve/*_admit_stop_gate): any
-        // submitter already past its stop_ check holds the gate until its
-        // ring push landed; once the gate reads zero every future ring
-        // entry is impossible (a later submitter sees stop_) and every
-        // present one is visible to the sweep below.
-        while(admitGate_.load(std::memory_order_seq_cst) != 0)
-            std::this_thread::yield();
         // The supervisor exits promptly on stop_; joining it first means
         // no restart mutates workers_ while we walk the fleet below.
         if(supervisor_.joinable())
@@ -234,14 +205,13 @@ namespace alpaka::serve
             }
         }
 
-        // Whatever is still staged or queued now has nobody left to
-        // serve it: every joinable worker exited (and drained while it
-        // could) or is stuck with its lost flag set. Resolve the leftovers
-        // so invariant 16 holds across shutdown too.
+        // Whatever is still queued now has nobody left to serve it: every
+        // joinable worker exited (and drained while it could) or is stuck
+        // with its lost flag set. Resolve the leftovers so invariant 16
+        // holds across shutdown too.
         std::vector<Pending> abandoned;
         {
             std::scoped_lock lock(mutex_);
-            drainAdmissionLocked();
             for(auto* t : tenantOrder_)
             {
                 while(!t->queue.empty())
@@ -249,7 +219,6 @@ namespace alpaka::serve
                     abandoned.push_back(std::move(t->queue.front()));
                     t->queue.popFront();
                 }
-                t->depth.store(0, std::memory_order_relaxed);
                 t->nextActive = nullptr;
                 t->inRotation = false;
             }
@@ -352,24 +321,9 @@ namespace alpaka::serve
     // ------------------------------------------------------------------
     // admission
 
-    auto Service::tenantFind(std::string_view name) const noexcept -> TenantState*
-    {
-        auto const h = std::hash<std::string_view>{}(name);
-        for(std::size_t i = 0; i < tenantSlotCount; ++i)
-        {
-            auto const slot = (h + i) & (tenantSlotCount - 1);
-            auto* const t = tenantSlots_[slot].load(std::memory_order_acquire);
-            if(t == nullptr)
-                return nullptr; // insert-only table: an empty probe slot ends the chain
-            if(t->hash == h && std::string_view(t->name) == name)
-                return t;
-        }
-        return nullptr; // index full; the locked map still resolves it
-    }
-
     auto Service::tenantLocked(std::string_view name) -> TenantState*
     {
-        auto const it = tenants_.find(std::string(name));
+        auto const it = tenants_.find(name);
         if(it != tenants_.end())
             return it->second.get();
         // Tenant records persist for accounting; the bound keeps a
@@ -382,39 +336,12 @@ namespace alpaka::serve
                 "serve::Service: tenant bound reached (" + std::to_string(tenants_.size()) + "/"
                 + std::to_string(options_.maxTenants) + "), tenant '" + std::string(name) + "' not admitted");
         }
-        auto const tenantCap = options_.tenantCapacity == 0 ? options_.queueCapacity : options_.tenantCapacity;
-        auto state = std::make_unique<TenantState>(std::min(tenantCap, options_.queueCapacity));
+        auto state = std::make_unique<TenantState>(std::min(tenantCapacity(), options_.queueCapacity));
         state->name = std::string(name);
-        state->hash = std::hash<std::string_view>{}(std::string_view(state->name));
         auto* const raw = state.get();
         tenants_.emplace(raw->name, std::move(state));
         tenantOrder_.push_back(raw);
-        // Publish into the lock-free index (release pairs with
-        // tenantFind's acquire); on a full table the tenant just keeps
-        // resolving through this locked path.
-        for(std::size_t i = 0; i < tenantSlotCount; ++i)
-        {
-            auto const slot = (raw->hash + i) & (tenantSlotCount - 1);
-            if(tenantSlots_[slot].load(std::memory_order_relaxed) == nullptr)
-            {
-                tenantSlots_[slot].store(raw, std::memory_order_release);
-                break;
-            }
-        }
         return raw;
-    }
-
-    auto Service::tryReserveTenant(TenantState& t) noexcept -> bool
-    {
-        // Optimistic fetch_add with rollback: the transient overshoot is
-        // invisible to correctness (nothing is staged until the
-        // reservation held) and self-corrects before this returns.
-        if(t.depth.fetch_add(1, std::memory_order_acq_rel) + 1 > tenantCapacity())
-        {
-            t.depth.fetch_sub(1, std::memory_order_relaxed);
-            return false;
-        }
-        return true;
     }
 
     void Service::preResolve(
@@ -474,133 +401,6 @@ namespace alpaka::serve
         }
     }
 
-    auto Service::stage(
-        std::span<Request const> requests,
-        std::span<Admission> out,
-        std::chrono::steady_clock::time_point now,
-        std::size_t& staged) -> Waiting
-    {
-        std::size_t count = 0;
-        for(auto const& a : out.first(requests.size()))
-            count += a.waiting() ? 1 : 0;
-        if(count == 0)
-            return {};
-        // One gate raise for the whole span, released on every exit.
-        GateGuard gate(admitGate_);
-        // Stop check AFTER the gate raise (seq_cst Dekker with shutdown,
-        // litmus: serve/*_admit_stop_gate).
-        if(stop_.load(std::memory_order_seq_cst))
-        {
-            rejected_.fetch_add(count, std::memory_order_relaxed);
-            auto const error
-                = std::make_exception_ptr(AdmissionError("serve::Service: submit while shutting down"));
-            for(auto& a : out.first(requests.size()))
-                if(a.waiting())
-                    a.error = error;
-            return {};
-        }
-        // One global reservation for the span, never past the bound; the
-        // part the tenant bounds refuse goes back below.
-        auto queued = queued_.load(std::memory_order_relaxed);
-        std::size_t granted = 0;
-        do
-        {
-            granted = queued >= options_.queueCapacity ? 0 : std::min(count, options_.queueCapacity - queued);
-        } while(granted != 0
-                && !queued_.compare_exchange_weak(
-                    queued,
-                    queued + granted,
-                    std::memory_order_acq_rel,
-                    std::memory_order_relaxed));
-        auto left = granted;
-
-        Waiting waits;
-        TenantState* t = nullptr;
-        bool runRefused = false;
-        for(std::size_t i = 0; i < requests.size(); ++i)
-        {
-            if(!out[i].waiting())
-                continue;
-            auto const& r = requests[i];
-            std::shared_ptr<Future::State> future;
-            try
-            {
-                if(t == nullptr || r.tenant != t->name)
-                {
-                    runRefused = false;
-                    t = tenantFind(r.tenant);
-                    if(t == nullptr)
-                    {
-                        // First submit of this tenant: the one admission
-                        // path that locks (and allocates) — once per
-                        // tenant lifetime, never in the steady state.
-                        std::scoped_lock lock(mutex_);
-                        t = tenantLocked(r.tenant);
-                    }
-                }
-                if(r.completion == nullptr)
-                    future = Future::makeState();
-            }
-            catch(...)
-            {
-                out[i].error = std::current_exception(); // tenant bound (AdmissionError) or allocation
-                t = nullptr;
-                continue;
-            }
-            runRefused = runRefused || left == 0 || !tryReserveTenant(*t);
-            if(runRefused)
-            {
-                if(waits.count++ == 0)
-                    waits.tenant = t;
-                continue;
-            }
-            --left;
-            // Traced requests open their cross-thread timeline here
-            // (DESIGN.md §10): "serve.request" runs to completion,
-            // "serve.queued" to dispatch pop. Untraced requests (traceId
-            // 0) record nothing.
-            if(r.traceId != 0)
-            {
-                ALPAKA_TRACE_ASYNC_BEGIN("serve.request", r.traceId);
-                ALPAKA_TRACE_ASYNC_BEGIN("serve.queued", r.traceId);
-            }
-            Completion* completion = r.completion;
-            if(completion == nullptr)
-            {
-                future->self = future; // released as the future resolves
-                completion = future.get();
-            }
-            auto* const release = r.completion != nullptr && r.completion->tracksRelease() ? r.completion : nullptr;
-            Pending p{
-                templateFind(r.tmpl),
-                t,
-                r.payload,
-                completion,
-                release,
-                now,
-                r.deadline.value_or(noDeadline),
-                r.cancel,
-                r.traceId};
-            // Full ring: move its contents to the tenant queues (the
-            // reservations guarantee them room) and retry. A failed
-            // drain only means another producer's cell is mid-commit.
-            while(!admitRing_.push(p))
-            {
-                std::scoped_lock lock(mutex_);
-                drainAdmissionLocked();
-            }
-            t->admitted.fetch_add(1, std::memory_order_relaxed);
-            out[i].admitted = true;
-            if(future != nullptr)
-                out[i].future = Future(std::move(future));
-        }
-        if(left != 0)
-            queued_.fetch_sub(left, std::memory_order_relaxed);
-        admitted_.fetch_add(granted - left, std::memory_order_relaxed);
-        staged += granted - left;
-        return waits;
-    }
-
     void Service::admit(
         std::span<Request const> requests,
         std::span<Admission> out,
@@ -608,87 +408,155 @@ namespace alpaka::serve
     {
         if(out.size() < requests.size())
             throw UsageError("serve::Service::submit: fewer outcome slots than requests");
-        for(auto& a : out.first(requests.size()))
+        out = out.first(requests.size());
+        for(auto& a : out)
             a = Admission{};
         try
         {
             // Fault site: admission itself fails (e.g. the tenant table
-            // allocation dies) — once per span, before any reservation:
-            // the error reaches every submitter, no queue slot leaks.
+            // allocation dies) — once per span, before the lock: the
+            // error reaches every submitter, nothing is queued.
             ALPAKA_FAULT_POINT("serve.admit");
         }
         catch(...)
         {
-            for(auto& a : out.first(requests.size()))
+            for(auto& a : out)
                 a.error = std::current_exception();
             return;
         }
         auto now = std::chrono::steady_clock::now();
         preResolve(requests, out, now);
-        std::size_t staged = 0;
-        for(;;)
+        if(std::none_of(out.begin(), out.end(), [](Admission const& a) { return a.waiting(); }))
+            return;
+        std::size_t pushed = 0;
+        std::vector<Shed> shed;
+        std::unique_lock lock(mutex_);
+        std::string reason;
+        // shutdown() stores stop_ under this lock: once it is set, nothing
+        // queues any more.
+        while(!stop_.load(std::memory_order_relaxed))
         {
-            auto const waits = stage(requests, out, now, staged);
-            if(waits.count == 0)
-                break;
-            // Full. Fail fast (no deadline) or wait for space and retry
-            // the reservations (the one blocking path; it parks outside
-            // the admission gate so shutdown never waits on a parked
-            // submitter).
-            std::string reason;
-            if(spaceDeadline == nullptr)
-                reason = "serve::Service: admission queue full (queued "
-                         + std::to_string(queued_.load(std::memory_order_relaxed)) + "/"
-                         + std::to_string(options_.queueCapacity) + ", tenant '" + waits.tenant->name + "' "
-                         + std::to_string(waits.tenant->depth.load(std::memory_order_relaxed)) + "/"
-                         + std::to_string(tenantCapacity()) + ")";
-            else
+            // Queue each waiting request that fits both bounds; full is
+            // the tenant of the first that found no room.
+            auto queued = queued_.load(std::memory_order_relaxed);
+            TenantState* full = nullptr;
+            TenantState* t = nullptr;
+            bool runRefused = false;
+            for(std::size_t i = 0; i < requests.size(); ++i)
             {
-                if(staged != 0)
+                if(!out[i].waiting())
+                    continue;
+                auto const& r = requests[i];
+                std::shared_ptr<Future::State> future;
+                try
                 {
-                    workWord_.publish();
-                    staged = 0;
+                    if(t == nullptr || r.tenant != t->name)
+                    {
+                        runRefused = false;
+                        t = tenantLocked(r.tenant);
+                    }
+                    if(r.completion == nullptr)
+                        future = Future::makeState();
                 }
-                std::unique_lock lock(mutex_);
-                auto const spaceLikely = [&]
+                catch(...)
                 {
-                    return stop_.load(std::memory_order_relaxed)
-                           || (queued_.load(std::memory_order_relaxed) < options_.queueCapacity
-                               && waits.tenant->depth.load(std::memory_order_relaxed) < tenantCapacity());
-                };
-                if(spaceCv_.wait_until(lock, *spaceDeadline, spaceLikely))
-                {
-                    // stop_ and lost reservation races resurface in the
-                    // next pass's gate-guarded checks.
-                    lock.unlock();
-                    now = std::chrono::steady_clock::now();
+                    out[i].error = std::current_exception(); // tenant bound (AdmissionError) or allocation
+                    t = nullptr;
                     continue;
                 }
-                reason = "serve::Service: admission deadline expired before queue space freed";
+                runRefused = runRefused || queued >= options_.queueCapacity || t->queue.size() >= tenantCapacity();
+                if(runRefused)
+                {
+                    full = full != nullptr ? full : t;
+                    continue;
+                }
+                // Traced requests open their cross-thread timeline here
+                // (DESIGN.md §10): "serve.request" runs to completion,
+                // "serve.queued" to dispatch pop. Untraced requests
+                // (traceId 0) record nothing.
+                if(r.traceId != 0)
+                {
+                    ALPAKA_TRACE_ASYNC_BEGIN("serve.request", r.traceId);
+                    ALPAKA_TRACE_ASYNC_BEGIN("serve.queued", r.traceId);
+                }
+                Completion* completion = r.completion;
+                if(completion == nullptr)
+                {
+                    future->self = future; // released as the future resolves
+                    completion = future.get();
+                }
+                auto* const release
+                    = r.completion != nullptr && r.completion->tracksRelease() ? r.completion : nullptr;
+                t->queue.pushBack(Pending{
+                    templateFind(r.tmpl),
+                    t,
+                    r.payload,
+                    completion,
+                    release,
+                    now,
+                    r.deadline.value_or(noDeadline),
+                    r.cancel,
+                    r.traceId});
+                if(!t->inRotation)
+                    activePush(t); // 0 -> 1: tenant (re)enters the rotation
+                ++t->admitted;
+                ++queued;
+                ++pushed;
+                out[i].admitted = true;
+                if(future != nullptr)
+                    out[i].future = Future(std::move(future));
             }
-            rejected_.fetch_add(waits.count, std::memory_order_relaxed);
-            auto const error = std::make_exception_ptr(AdmissionError(reason));
-            for(auto& a : out.first(requests.size()))
-                if(a.waiting())
-                    a.error = error;
-            break;
+            queued_.store(queued, std::memory_order_relaxed);
+            if(full == nullptr)
+                break;
+            // Full. Fail fast (no deadline) or wait for space and retry
+            // (the one blocking path).
+            if(spaceDeadline == nullptr)
+            {
+                reason = "serve::Service: admission queue full (queued " + std::to_string(queued) + "/"
+                         + std::to_string(options_.queueCapacity) + ", tenant '" + full->name + "' "
+                         + std::to_string(full->queue.size()) + "/" + std::to_string(tenantCapacity()) + ")";
+                break;
+            }
+            if(pushed != 0)
+                workWord_.publish(); // what this span queued must not wait for the space below
+            auto const space = [&]
+            {
+                return stop_.load(std::memory_order_relaxed)
+                       || (queued_.load(std::memory_order_relaxed) < options_.queueCapacity
+                           && full->queue.size() < tenantCapacity());
+            };
+            if(!spaceCv_.wait_until(lock, *spaceDeadline, space))
+            {
+                reason = "serve::Service: admission deadline expired before queue space freed";
+                break;
+            }
+            now = std::chrono::steady_clock::now();
         }
-        if(staged == 0)
+        if(stop_.load(std::memory_order_relaxed))
+            reason = "serve::Service: submit while shutting down";
+        if(!reason.empty())
+        {
+            auto const error = std::make_exception_ptr(AdmissionError(reason));
+            for(auto& a : out)
+                if(a.waiting())
+                {
+                    a.error = error;
+                    rejected_.fetch_add(1, std::memory_order_relaxed);
+                }
+        }
+        // Overload: shed most-expired first. Slow path by design — it
+        // allocates, but a service past its watermark is already failing
+        // its latency promise.
+        if(pushed != 0 && options_.shedWatermark != 0
+           && queued_.load(std::memory_order_relaxed) > options_.shedWatermark)
+            shedOverloadLocked(shed);
+        admitted_.fetch_add(pushed, std::memory_order_relaxed);
+        lock.unlock();
+        if(pushed == 0)
             return;
         workWord_.publish(); // wake a parked worker (elided when none is)
-        if(options_.shedWatermark != 0 && queued_.load(std::memory_order_relaxed) > options_.shedWatermark)
-        {
-            // Overload: shed most-expired first. Slow path by design —
-            // it takes mutex_ and allocates, but a service past its
-            // watermark is already failing its latency promise.
-            std::vector<Shed> shed;
-            {
-                std::scoped_lock lock(mutex_);
-                drainAdmissionLocked();
-                shedOverloadLocked(shed);
-            }
-            resolveShed(shed);
-        }
+        resolveShed(shed);
     }
 
     auto Service::admitOne(Request const& request, std::chrono::steady_clock::time_point const* spaceDeadline)
@@ -867,18 +735,6 @@ namespace alpaka::serve
         }
     }
 
-    void Service::drainAdmissionLocked()
-    {
-        Pending p;
-        while(admitRing_.pop(p))
-        {
-            auto* const t = p.tenant;
-            t->queue.pushBack(std::move(p));
-            if(!t->inRotation)
-                activePush(t); // 0 -> 1: tenant (re)enters the rotation
-        }
-    }
-
     auto Service::acquireBatch(Worker& worker) -> std::shared_ptr<InFlightBatch>
     {
         for(auto& slot : worker.batchCache)
@@ -929,8 +785,7 @@ namespace alpaka::serve
                                     DeadlineError("serve::Service: deadline expired before dispatch"));
                 shed.push_back(std::move(s));
                 t->queue.popFront();
-                t->depth.fetch_sub(1, std::memory_order_relaxed);
-                queued_.fetch_sub(1, std::memory_order_relaxed);
+                queued_.store(queued_.load(std::memory_order_relaxed) - 1, std::memory_order_relaxed);
                 ++resolving_;
                 continue;
             }
@@ -940,7 +795,6 @@ namespace alpaka::serve
                 break;
             out.requests.push_back(std::move(head));
             t->queue.popFront();
-            t->depth.fetch_sub(1, std::memory_order_relaxed);
         }
         if(!t->queue.empty())
             activePush(t);
@@ -996,8 +850,7 @@ namespace alpaka::serve
                 "serve::Service: shed under overload (queued past watermark "
                 + std::to_string(options_.shedWatermark) + ")"));
             shed.push_back(std::move(s));
-            victimTenant->depth.fetch_sub(1, std::memory_order_relaxed);
-            queued_.fetch_sub(1, std::memory_order_relaxed);
+            queued_.store(queued_.load(std::memory_order_relaxed) - 1, std::memory_order_relaxed);
             ++resolving_;
             if(victimTenant->queue.empty())
                 activeErase(victimTenant);
@@ -1079,16 +932,14 @@ namespace alpaka::serve
             bool idle = false;
             {
                 std::unique_lock lock(mutex_);
-                drainAdmissionLocked();
-                if(stop_.load(std::memory_order_seq_cst) && admitGate_.load(std::memory_order_seq_cst) == 0
-                   && postedHead_.load(std::memory_order_seq_cst) == &closedMark
+                if(stop_.load(std::memory_order_seq_cst) && postedHead_.load(std::memory_order_seq_cst) == &closedMark
                    && !admittingPosted_.load(std::memory_order_seq_cst)
                    && queued_.load(std::memory_order_seq_cst) == 0)
                 {
-                    // Stopped, no admission mid-push (the gate read pairs
-                    // with the submitter's raise), the posted list closed,
-                    // nobody admitting from it and nothing queued (read in
-                    // that order: litmus: serve/*_posted_idle).
+                    // Stopped (no admission can queue any more: admit()
+                    // checks stop_ under this lock), the posted list
+                    // closed, nobody admitting from it and nothing queued
+                    // (read in that order: litmus: serve/*_posted_idle).
                     exit = true;
                 }
                 else if(queued_.load(std::memory_order_relaxed) > 0)
@@ -1097,7 +948,7 @@ namespace alpaka::serve
                     if(popped)
                     {
                         auto const count = work->batch.requests.size();
-                        queued_.fetch_sub(count, std::memory_order_relaxed);
+                        queued_.store(queued_.load(std::memory_order_relaxed) - count, std::memory_order_relaxed);
                         inFlight_ += count;
                         ++batches_;
                         worker.inFlight = work;
@@ -1512,11 +1363,7 @@ namespace alpaka::serve
             s.workerRestarts = workerRestarts_;
             s.tenants.reserve(tenantOrder_.size());
             for(auto const* t : tenantOrder_)
-                s.tenants.push_back(TenantStats{
-                    t->name,
-                    t->depth.load(std::memory_order_relaxed),
-                    t->admitted.load(std::memory_order_relaxed),
-                    t->completed});
+                s.tenants.push_back(TenantStats{t->name, t->queue.size(), t->admitted, t->completed});
         }
         auto const elapsed
             = std::chrono::duration<double>(std::chrono::steady_clock::now() - born_).count();

@@ -85,11 +85,13 @@ namespace
         net::FrontDoor<Cfg> door{router};
         std::unique_ptr<net::Client<Cfg>> client;
 
-        SessionT()
+        //! \p toClientBytes sizes the door-to-client pipe.
+        explicit SessionT(std::size_t toClientBytes = 1 << 16)
         {
-            auto [serverEnd, clientEnd] = net::makePipePair();
-            EXPECT_TRUE(door.accept(std::move(serverEnd)));
-            client = std::make_unique<net::Client<Cfg>>(std::move(clientEnd));
+            auto const toClient = std::make_shared<net::detail::ByteRing>(toClientBytes);
+            auto const toDoor = std::make_shared<net::detail::ByteRing>(1 << 16);
+            EXPECT_TRUE(door.accept(std::make_unique<net::PipeTransport>(toClient, toDoor)));
+            client = std::make_unique<net::Client<Cfg>>(std::make_unique<net::PipeTransport>(toDoor, toClient));
             client->hello("tenant");
             pollFor([&] { return client->ready(); });
         }
@@ -246,5 +248,41 @@ TEST(NetFaults, ChaosScheduleIsSeedReproducible)
     EXPECT_EQ(sent, total);
     EXPECT_EQ(got + static_cast<int>(s.door.stats().framesDropped), total) << "every response accounted";
     EXPECT_GT(s.door.stats().framesDropped, 0U) << "the storm must have dropped something";
+    s.router.drain();
+}
+
+//! A response that finds the tx staging full rolls no fault site: each
+//! `net.frame_drop` hit belongs to a frame the door staged or dropped,
+//! however many polls the staging stays full, so a seed's drop schedule
+//! does not depend on how fast the peer reads. The door-to-client pipe
+//! holds one 40-byte response frame and the staging four; the client
+//! reads nothing while eight responses come back.
+TEST(NetFaults, FullStagingSpendsNoFaultHits)
+{
+    REQUIRES_FAULTINJECT();
+    Session s(48);
+    auto const framesBefore = s.door.stats().framesOut;
+    fault::Plan plan;
+    plan.fail("net.frame_drop", fault::Trigger::once(1));
+    std::array<std::byte, 8> payload{};
+    for(std::size_t i = 0; i < TestCfg::window; ++i)
+        ASSERT_NE(s.client->trySubmit(s.tmpl, payload.data(), payload.size()), 0U);
+    s.client->poll([](Client::Response const&) {}); // sends them; no response exists yet
+
+    // Only the door polls, until 20 polls after every request ran.
+    auto const until = std::chrono::steady_clock::now() + 3s;
+    for(int after = 0; after < 20 && std::chrono::steady_clock::now() < until;)
+    {
+        s.door.poll(std::chrono::steady_clock::now());
+        std::this_thread::sleep_for(100us);
+        if(s.router.stats()[0].completed == TestCfg::window)
+            ++after;
+    }
+    auto const answered = [&] { return s.door.stats().responsesOk + s.door.stats().responsesError; };
+    EXPECT_LT(answered(), TestCfg::window) << "the staging must have stayed full";
+    ASSERT_TRUE(s.pollFor([&] { return answered() == TestCfg::window; }));
+    auto const stats = s.door.stats();
+    EXPECT_EQ(plan.hits("net.frame_drop"), stats.framesOut - framesBefore + stats.framesDropped);
+    EXPECT_EQ(stats.framesDropped, 1U);
     s.router.drain();
 }

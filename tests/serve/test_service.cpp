@@ -475,14 +475,13 @@ TEST(ServeService, PostedSpanGivesEveryRequestItsOwnOutcome)
     EXPECT_EQ(stats.failed, 2U);
 }
 
-//! The admission ring is a fixed handoff buffer, far smaller than the
-//! queue bound (DESIGN.md §8.7): with the worker blocked, submits past
-//! the ring's size still admit up to the bound — the one that finds the
-//! ring full drains it into the tenant queues itself — lose nothing and
-//! keep each tenant's order; past the bound they are refused.
+//! Admission pushes straight into the tenant queues under the
+//! scheduling lock (DESIGN.md §6.2, §8.7), with no buffer between: with
+//! the worker blocked, submits admit up to the queue bound, lose nothing
+//! and keep each tenant's order; past the bound they are refused.
 TEST(ServeService, AdmissionPastTheRingKeepsOrderAndBound)
 {
-    constexpr std::size_t capacity = 300; // > the 256-cell ring
+    constexpr std::size_t capacity = 300;
     constexpr std::size_t offered = 400;
     serve::Service svc(serve::ServiceOptions{.cpuWorkers = 1, .queueCapacity = capacity});
     Gate gate;
@@ -843,6 +842,143 @@ TEST(ServeService, SeededRandomizedLoad)
         perTenant += t.completed;
     }
     EXPECT_EQ(perTenant, total);
+}
+
+namespace
+{
+    //! A Completion whose hook submits again. The hook of a request that
+    //! expired before admission fires inline, before submit() returns.
+    struct Resubmitting : serve::Completion
+    {
+        Resubmitting() noexcept : serve::Completion(&onComplete)
+        {
+        }
+
+        static void onComplete(serve::Completion& completion, std::exception_ptr error) noexcept
+        {
+            auto& self = static_cast<Resubmitting&>(completion);
+            self.error = std::move(error);
+            try
+            {
+                self.next = self.svc->submit(self.tmpl, "a", &self.payload);
+            }
+            catch(serve::AdmissionError const&)
+            {
+            }
+            self.fired.fetch_add(1, std::memory_order_release);
+        }
+
+        serve::Service* svc = nullptr;
+        serve::TemplateId tmpl = 0;
+        Payload payload;
+        std::exception_ptr error;
+        serve::Future next;
+        std::atomic<int> fired{0};
+    };
+} // namespace
+
+//! submit() and submitFor() racing shutdown(): admission reads stop_
+//! under the lock shutdown() stores it under, so every call throws
+//! AdmissionError or returns a future that resolves exactly once, and
+//! nothing admitted is left behind. Three threads submit while the main
+//! thread shuts down after 0–400 µs. Thread 2 calls submitFor() on a
+//! tenant its slow requests keep full, so it often waits for space when
+//! shutdown lands. Thread 0 also sends requests that expired before
+//! admission, whose hook submits again from inside admission's caller:
+//! no lock may be held there.
+TEST(ServeService, SubmitsRacingShutdownEachThrowOrResolveOnce)
+{
+    auto const seed = stressSeed();
+    SCOPED_TRACE("ALPAKA_STRESS_SEED=" + std::to_string(seed));
+    constexpr std::size_t perThread = 48;
+    struct Outcome
+    {
+        Payload payload;
+        serve::Future future;
+        std::atomic<int> fired{0};
+    };
+    for(int round = 0; round < 50; ++round)
+    {
+        SCOPED_TRACE("round " + std::to_string(round));
+        std::mt19937_64 rng(seed + static_cast<std::uint64_t>(round));
+        std::vector<std::vector<Outcome>> outcomes;
+        for(int t = 0; t < 3; ++t)
+            outcomes.emplace_back(perThread);
+        std::vector<Resubmitting> expired(perThread / 8);
+        {
+            serve::Service svc(serve::ServiceOptions{.cpuWorkers = 2, .queueCapacity = 128, .tenantCapacity = 8});
+            auto const scaleId = svc.registerTemplate(scaleTemplate(8));
+            auto slow = scaleTemplate(2);
+            slow.body = [body = slow.body](serve::RequestItem const& item)
+            {
+                std::this_thread::sleep_for(100us);
+                body(item);
+            };
+            auto const slowId = svc.registerTemplate(slow);
+            auto const submitter = [&](std::size_t t)
+            {
+                for(std::size_t i = 0; i < perThread; ++i)
+                {
+                    if(t == 0 && i % 8 == 0)
+                    {
+                        auto& e = expired[i / 8];
+                        e.svc = &svc;
+                        e.tmpl = scaleId;
+                        serve::Request request{scaleId, "a", &e.payload, std::chrono::steady_clock::now() - 1ms, {}};
+                        request.completion = &e;
+                        EXPECT_FALSE(svc.submit(request).valid());
+                        EXPECT_EQ(e.fired.load(std::memory_order_acquire), 1) << "fires inline";
+                    }
+                    auto& o = outcomes[t][i];
+                    o.payload.in = static_cast<double>(i);
+                    try
+                    {
+                        o.future = t == 2 ? (i < 8 ? svc.submit(slowId, "full", &o.payload)
+                                                   : svc.submitFor(slowId, "full", &o.payload, 2ms))
+                                          : svc.submit(scaleId, t == 0 ? "a" : "b", &o.payload);
+                    }
+                    catch(serve::AdmissionError const&)
+                    {
+                        continue;
+                    }
+                    o.future.then([&o](std::exception_ptr) { o.fired.fetch_add(1, std::memory_order_acq_rel); });
+                }
+            };
+            std::vector<std::thread> threads;
+            for(std::size_t t = 0; t < 3; ++t)
+                threads.emplace_back(submitter, t);
+            std::this_thread::sleep_for(std::chrono::microseconds(rng() % 400));
+            EXPECT_TRUE(svc.shutdown(5s).clean);
+            for(auto& thread : threads)
+                thread.join();
+            // Requests expired before admission count as completed (and
+            // shed) without being admitted.
+            auto const stats = svc.stats();
+            EXPECT_EQ(stats.shedExpired, expired.size());
+            EXPECT_EQ(stats.admitted, stats.completed - stats.shedExpired);
+            EXPECT_EQ(stats.queued + stats.inFlight, 0U);
+        }
+        auto const resolvedOnce = [](serve::Future const& f, Payload const& p)
+        {
+            EXPECT_NO_THROW(EXPECT_TRUE(f.waitFor(5s)));
+            EXPECT_DOUBLE_EQ(p.out, 2.0 * p.in + 1.0);
+        };
+        for(auto& perThreadOutcomes : outcomes)
+            for(auto& o : perThreadOutcomes)
+            {
+                if(!o.future.valid())
+                    continue; // refused
+                resolvedOnce(o.future, o.payload);
+                EXPECT_EQ(o.fired.load(std::memory_order_acquire), 1);
+            }
+        for(auto& e : expired)
+        {
+            ASSERT_EQ(e.fired.load(std::memory_order_acquire), 1);
+            EXPECT_THROW(std::rethrow_exception(e.error), serve::DeadlineError);
+            if(e.next.valid())
+                resolvedOnce(e.next, e.payload);
+        }
+    }
 }
 
 // ----------------------------------------------------------------- drain/stats
